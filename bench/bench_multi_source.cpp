@@ -1,17 +1,29 @@
-// Lane-packed multi-source sweep benchmark (the PR-10 acceptance
-// experiment): all-pairs-style earliest-arrival work on synthetic
-// contact traces, scalar one-sweep-per-source vs. 64 sources sharing
-// one contact-stream pass (temporal/multi_source.hpp), single thread.
-// Per-lane results are asserted bit-identical (arrivals AND via-from)
-// before anything is timed — "results_match" in the JSON is that gate.
+// Lane-packed multi-source sweep benchmark, single thread, two
+// experiments on synthetic contact traces:
+//
+//   * multi_source_sweep — all-pairs-style earliest-arrival work,
+//     scalar one-sweep-per-source vs. 64 sources sharing one
+//     contact-stream pass (temporal/multi_source.hpp). Per-lane results
+//     are asserted bit-identical (arrivals AND via-from) before anything
+//     is timed — "results_match" in the JSON is that gate.
+//   * fastest_batch — fastest-journey departure profiles, scalar
+//     csr_fastest_departure per query vs. 1, 8 and 64 lanes sharing one
+//     per-unit union-find sweep (csr_fastest_departure_batch), ns per
+//     query. Every lane is checked against the scalar result before the
+//     batch is timed ("results_match").
 //
 // Two instances: "smoke" (small, fast enough for check.sh's Release
-// bench gate, asserted >= 4x there) and "allpairs20k" (the 20k-vertex
-// instance bench_temporal_paths uses, acceptance target >= 8x).
+// bench gate, which asserts >= 4x for the sweep and >= 3x per query at
+// 8 fastest lanes) and "allpairs20k" (the 20k-vertex instance
+// bench_temporal_paths uses, acceptance target >= 8x for the sweep).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <iostream>
+#include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -42,11 +54,18 @@ TemporalGraph make_trace(std::size_t n, TimeUnit horizon, std::size_t edges,
   return eg;
 }
 
-void sweep_speedup(Table& t, const char* instance, std::size_t n,
-                   TimeUnit horizon, std::size_t edges,
-                   std::size_t labels_per_edge, std::size_t sample_blocks) {
-  const TemporalGraph eg = make_trace(n, horizon, edges, labels_per_edge, 101);
-  const TemporalCsr csr(eg);
+/// Best of `reps` measurements: the timed regions are milliseconds, so
+/// one scheduler preemption would otherwise dominate a ratio.
+template <class Measure>
+double best_of(int reps, Measure&& measure) {
+  double best = measure();
+  for (int r = 1; r < reps; ++r) best = std::min(best, measure());
+  return best;
+}
+
+void sweep_speedup(Table& t, const char* instance, const TemporalCsr& csr,
+                   std::size_t sample_blocks) {
+  const std::size_t n = csr.vertex_count();
 
   // sample_blocks lane-blocks of 64 evenly spread sources — the same
   // source set both implementations sweep.
@@ -74,13 +93,6 @@ void sweep_speedup(Table& t, const char* instance, std::size_t n,
     }
   }
 
-  // Best-of-3 repetitions: the timed regions are milliseconds, so one
-  // scheduler preemption would otherwise dominate the ratio.
-  const auto best_of = [](int reps, auto&& measure) {
-    double best = measure();
-    for (int r = 1; r < reps; ++r) best = std::min(best, measure());
-    return best;
-  };
   const double scalar_ns = best_of(3, [&] {
     return time_ns_per_op(sources.size(), [&](std::size_t i) {
       csr_earliest_arrival(csr, sources[i], 0, scalar_ws);
@@ -116,14 +128,99 @@ void sweep_speedup(Table& t, const char* instance, std::size_t n,
       .emit();
 }
 
+/// kLanes fastest-journey queries: random (source, target) pairs with
+/// t_starts from a small fixed set in the first quarter of the horizon,
+/// so most journeys exist.
+std::vector<FastestLane> fastest_lanes(std::size_t n, TimeUnit horizon) {
+  Rng rng(202);
+  const TimeUnit step = std::max<TimeUnit>(horizon / 16, 1);
+  std::vector<FastestLane> lanes;
+  while (lanes.size() < kLanes) {
+    const auto s = static_cast<VertexId>(rng.index(n));
+    const auto d = static_cast<VertexId>(rng.index(n));
+    if (s == d) continue;
+    lanes.push_back({s, d, static_cast<TimeUnit>(rng.index(4)) * step});
+  }
+  return lanes;
+}
+
+void fastest_speedup(Table& t, const char* instance, const TemporalCsr& csr,
+                     int reps) {
+  const std::vector<FastestLane> lanes =
+      fastest_lanes(csr.vertex_count(), csr.horizon());
+
+  // The scalar kernel per query: both the expected result of every
+  // lane and the per-query baseline (block sizes below average the
+  // same queries they pack).
+  TemporalWorkspace scalar_ws;
+  std::vector<std::optional<std::pair<TimeUnit, TimeUnit>>> want(kLanes);
+  std::vector<double> scalar_ns(kLanes);
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    scalar_ns[l] = best_of(reps, [&] {
+      return time_ns_per_op(1, [&](std::size_t) {
+        want[l] = csr_fastest_departure(csr, lanes[l].source, lanes[l].target,
+                                        lanes[l].t_start, scalar_ws);
+      });
+    });
+  }
+
+  MultiSourceWorkspace ws;
+  for (const std::size_t count : {std::size_t{1}, std::size_t{8}, kLanes}) {
+    const std::span<const FastestLane> block(lanes.data(), count);
+    // Equivalence gate before timing: every lane equals the scalar.
+    const auto got = csr_fastest_departure_batch(csr, block, ws);
+    const bool match = std::equal(got.begin(), got.end(), want.begin());
+    double scalar = 0.0;
+    for (std::size_t l = 0; l < count; ++l) scalar += scalar_ns[l];
+    scalar /= static_cast<double>(count);
+    const double batch =
+        best_of(reps, [&] {
+          return time_ns_per_op(1, [&](std::size_t) {
+            benchmark::DoNotOptimize(csr_fastest_departure_batch(csr, block, ws));
+          });
+        }) /
+        static_cast<double>(count);
+    const double speedup = batch > 0.0 ? scalar / batch : 0.0;
+
+    t.add_row({instance, Table::num(std::uint64_t(csr.vertex_count())),
+               Table::num(std::uint64_t(csr.contact_count())),
+               Table::num(std::uint64_t(count)), Table::num(scalar / 1e3, 2),
+               Table::num(batch / 1e3, 2), Table::num(speedup, 2),
+               match ? "yes" : "NO"});
+
+    BenchJson("fastest_batch")
+        .field("instance", instance)
+        .field("n", std::uint64_t(csr.vertex_count()))
+        .field("contacts", std::uint64_t(csr.contact_count()))
+        .field("lanes", std::uint64_t(count))
+        .threads(1)
+        .field("ns_per_query_scalar", scalar)
+        .field("ns_per_query_batch", batch)
+        .field("speedup_vs_scalar", speedup)
+        .field("results_match", match ? "yes" : "no")
+        .emit();
+  }
+}
+
 void multi_source_tables() {
-  Table t({"instance", "n", "contacts", "scalar_us_per_source",
-           "batch_us_per_source", "speedup_vs_scalar", "results_match"});
-  sweep_speedup(t, "smoke", 2000, 128, 15000, 4, /*sample_blocks=*/2);
-  sweep_speedup(t, "allpairs20k", 20000, 512, 150000, 8, /*sample_blocks=*/4);
-  t.print(std::cout,
-          "E-ms: lane-packed 64-source sweeps vs scalar "
-          "earliest-arrival (single thread)");
+  const TemporalCsr smoke(make_trace(2000, 128, 15000, 4, 101));
+  const TemporalCsr big(make_trace(20000, 512, 150000, 8, 101));
+
+  Table sweeps({"instance", "n", "contacts", "scalar_us_per_source",
+                "batch_us_per_source", "speedup_vs_scalar", "results_match"});
+  sweep_speedup(sweeps, "smoke", smoke, /*sample_blocks=*/2);
+  sweep_speedup(sweeps, "allpairs20k", big, /*sample_blocks=*/4);
+  sweeps.print(std::cout,
+               "E-ms: lane-packed 64-source sweeps vs scalar "
+               "earliest-arrival (single thread)");
+
+  Table fastest({"instance", "n", "contacts", "lanes", "scalar_us_per_query",
+                 "batch_us_per_query", "speedup_vs_scalar", "results_match"});
+  fastest_speedup(fastest, "smoke", smoke, /*reps=*/3);
+  fastest_speedup(fastest, "allpairs20k", big, /*reps=*/1);
+  fastest.print(std::cout,
+                "E-fj: lane-packed fastest-journey profiles vs scalar "
+                "csr_fastest_departure (single thread)");
 }
 
 }  // namespace

@@ -168,9 +168,11 @@ PYEOF
   echo "== multi-source gate: lane-packed sweeps match scalar at >= 4x =="
   # Every multi_source_sweep record must be bit-identical to the scalar
   # kernel (results_match) and the smoke instance must clear 4x single
-  # thread; the serving-side lane packer must save sweeps that grow
-  # with queue depth while staying payload-identical to the scalar
-  # planner.
+  # thread; every fastest_batch record must match the scalar fastest
+  # kernel, and 8 packed fastest-journey lanes must clear 3x per query
+  # on the smoke instance; the serving-side lane packer must save sweeps
+  # that grow with queue depth while staying payload-identical to the
+  # scalar planner.
   python3 - "$bench_out/bench_multi_source.out" "$bench_out/bench_serve.out" <<'PYEOF'
 import json, sys
 
@@ -190,6 +192,20 @@ if sweeps["smoke"]["speedup_vs_scalar"] < 4.0:
     sys.exit("multi-source gate: smoke speedup %.2fx < 4x"
              % sweeps["smoke"]["speedup_vs_scalar"])
 
+fastest = {(r["instance"], r["lanes"]): r for r in recs(sys.argv[1])
+           if r.get("bench") == "fastest_batch"}
+need = {(i, l) for i in ("smoke", "allpairs20k") for l in (1, 8, 64)}
+if not need <= set(fastest):
+    sys.exit("multi-source gate: missing fastest_batch records: %s"
+             % sorted(need - set(fastest)))
+for (name, lanes), r in sorted(fastest.items()):
+    if r["results_match"] != "yes":
+        sys.exit("multi-source gate: %s fastest lanes=%d diverged from "
+                 "scalar" % (name, lanes))
+if fastest[("smoke", 8)]["speedup_vs_scalar"] < 3.0:
+    sys.exit("multi-source gate: smoke fastest speedup at 8 lanes "
+             "%.2fx < 3x" % fastest[("smoke", 8)]["speedup_vs_scalar"])
+
 packs = sorted((r for r in recs(sys.argv[2])
                 if r.get("bench") == "serve_lane_pack"),
                key=lambda r: r["queued"])
@@ -206,9 +222,12 @@ saved = [r["sweeps_saved"] for r in packs]
 if saved != sorted(saved) or saved[0] == saved[-1]:
     sys.exit("multi-source gate: sweeps_saved not growing with depth: %s"
              % saved)
-print("multi-source gate: smoke %.1fx, 20k %.1fx, serve saves %s sweeps"
+print("multi-source gate: smoke %.1fx, 20k %.1fx, fastest x8 lanes "
+      "smoke %.1fx / 20k %.1fx, serve saves %s sweeps"
       % (sweeps["smoke"]["speedup_vs_scalar"],
-         sweeps["allpairs20k"]["speedup_vs_scalar"], saved))
+         sweeps["allpairs20k"]["speedup_vs_scalar"],
+         fastest[("smoke", 8)]["speedup_vs_scalar"],
+         fastest[("allpairs20k", 8)]["speedup_vs_scalar"], saved))
 PYEOF
   rm -rf "$bench_out"
 

@@ -15,20 +15,30 @@ namespace structnet {
 
 namespace {
 
-/// Backtracks the via chain of the last earliest-arrival sweep into a
-/// realized journey (same reconstruction journeys.cpp uses).
-Journey journey_from_workspace(const TemporalWorkspace& ws, VertexId source,
-                               VertexId target) {
-  Journey j;
-  VertexId cur = target;
-  while (cur != source) {
-    const JourneyHop hop = ws.via(cur);
-    assert(hop.from != kInvalidVertex);
-    j.hops.push_back(hop);
-    cur = hop.from;
-  }
-  std::reverse(j.hops.begin(), j.hops.end());
-  return j;
+/// Runs kernel(index) on whichever contact index the planner maintains:
+/// the delta overlay (default) or the legacy per-epoch TemporalCsr. Both
+/// expose the same iteration interface, and the kernels are
+/// bit-identical across the two (see temporal_delta.hpp).
+template <class Kernel>
+decltype(auto) with_index(const DeltaTemporalCsr* delta,
+                          const std::optional<TemporalCsr>& csr,
+                          Kernel&& kernel) {
+  return delta != nullptr ? kernel(*delta) : kernel(*csr);
+}
+
+/// A FastestJourney payload from its departure profile result: one
+/// earliest-arrival sweep from the span-minimal departure materializes
+/// a journey realizing that span — fastest_journey() exactly, minus the
+/// per-call CSR build. Shared by the scalar and the lane-packed path.
+template <class Index>
+QueryPayload fastest_journey_payload(
+    const Index& index, VertexId source, VertexId target,
+    const std::optional<std::pair<TimeUnit, TimeUnit>>& departure,
+    TemporalWorkspace& ws) {
+  if (!departure) return QueryPayload(std::optional<Journey>());
+  csr_earliest_arrival(index, source, departure->first, ws, target);
+  assert(ws.arrival(target) != kNeverTime);
+  return QueryPayload(std::optional<Journey>(ws.journey(source, target)));
 }
 
 Strategy make_strategy(RoutingStrategy strategy) {
@@ -77,6 +87,7 @@ QueryBroker::Metrics::Metrics(obs::MetricsRegistry& r)
       batches(r.counter("serve.batches")),
       lanes_packed(r.counter("serve.lanes_packed")),
       sweeps_saved(r.counter("serve.sweeps_saved")),
+      fastest_lanes_packed(r.counter("serve.fastest_lanes_packed")),
       csr_builds(r.counter("serve.csr_builds")),
       csr_reuses(r.counter("serve.csr_reuses")),
       csr_delta_appends(r.counter("serve.csr_delta_appends")),
@@ -225,13 +236,8 @@ QueryPayload QueryBroker::execute_payload(const Query& query,
   // Per-query kernels run serial (threads = 1): the batch is already
   // sharded across the pool one query per shard, and serial kernels
   // keep results trivially thread-count-invariant.
-  //
-  // Temporal kernels dispatch to whichever contact index the planner
-  // maintains — the delta overlay (default) or the legacy per-epoch
-  // TemporalCsr. Both expose the same iteration interface, and the
-  // kernels are bit-identical across the two (see temporal_delta.hpp).
   const auto on_index = [this](auto&& kernel) -> decltype(auto) {
-    return delta_csr_ != nullptr ? kernel(*delta_csr_) : kernel(*csr_);
+    return with_index(delta_csr_, csr_, kernel);
   };
   return std::visit(
       [&](const auto& q) -> QueryPayload {
@@ -243,24 +249,18 @@ QueryPayload QueryBroker::execute_payload(const Query& query,
           EarliestArrival ea = ws.to_earliest_arrival();
           return QueryPayload(std::move(ea.completion));
         } else if constexpr (std::is_same_v<T, FastestJourneyQuery>) {
-          // Mirrors fastest_journey() exactly, minus the per-call CSR
-          // build: one profile pass finds the span-minimal departure,
-          // one earliest-arrival sweep materializes a journey.
+          // One profile pass finds the span-minimal departure (the
+          // lane-packed plan shares this pass across a batch's misses).
           if (q.source == q.target) {
             return QueryPayload(std::optional<Journey>(Journey{}));
           }
-          const auto fd = on_index([&](const auto& index) {
-            return csr_fastest_departure(index, q.source, q.target, q.t_start,
-                                         ws);
+          return on_index([&](const auto& index) {
+            return fastest_journey_payload(
+                index, q.source, q.target,
+                csr_fastest_departure(index, q.source, q.target, q.t_start,
+                                      ws),
+                ws);
           });
-          if (!fd) return QueryPayload(std::optional<Journey>());
-          on_index([&](const auto& index) {
-            return csr_earliest_arrival(index, q.source, fd->first, ws,
-                                        q.target);
-          });
-          assert(ws.arrival(q.target) != kNeverTime);
-          return QueryPayload(std::optional<Journey>(
-              journey_from_workspace(ws, q.source, q.target)));
         } else if constexpr (std::is_same_v<T, MinHopJourneyQuery>) {
           return QueryPayload(on_index([&](const auto& index) {
             return csr_minimum_hop_journey(index, q.source, q.target,
@@ -461,31 +461,49 @@ std::size_t QueryBroker::flush() {
     }
   }
 
-  // Phase 2b — lane-pack plan (config.lane_pack): TemporalDistances
-  // misses sharing a t_start become lanes of ONE multi-source sweep
-  // (temporal/multi_source.hpp) instead of one scalar sweep each.
-  // Grouping follows exec order and duplicate (source, t_start) pairs
-  // share a lane, so the plan is a pure function of the batch — and
-  // each lane's payload is bit-identical to the scalar kernel's, so
-  // lane-packing never changes a result. Singleton groups stay scalar
-  // (a 1-lane sweep saves nothing). Journey queries always take the
-  // scalar path: they need the per-sweep hop reconstruction state.
+  // Phase 2b — lane-pack plan (config.lane_pack): batch misses become
+  // lanes of shared sweeps (temporal/multi_source.hpp) instead of one
+  // scalar sweep each.
+  //   * FastestJourney misses with source != target, in exec order, up
+  //     to 64 lanes per block: one shared per-unit union-find sweep
+  //     (csr_fastest_departure_batch) per block. Each lane keeps its own
+  //     (source, target, t_start), so one block mixes t_starts.
+  //   * TemporalDistances misses sharing a t_start, up to 64 distinct
+  //     sources per block: one earliest-arrival sweep
+  //     (csr_earliest_arrival_batch); duplicate (source, t_start) pairs
+  //     share a lane.
+  // Grouping follows exec order, so the plan is a pure function of the
+  // batch — and each lane's payload is bit-identical to the scalar
+  // kernel's, so lane-packing never changes a result. A lone
+  // FastestJourney and singleton distances groups stay scalar (a 1-lane
+  // block shares nothing), as do min-hop journeys.
+  struct FastestBlock {
+    std::vector<FastestLane> lanes;
+    std::vector<std::size_t> exec;  // exec index per lane
+  };
   struct LaneBlock {
     TimeUnit t_start = 0;
     std::vector<VertexId> sources;                // lane l's source
     std::vector<std::vector<std::size_t>> fills;  // exec indices per lane
   };
+  std::vector<FastestBlock> fastest_blocks;
   std::vector<LaneBlock> lane_blocks;
   std::vector<char> lane_filled(exec.size(), 0);
   if (config_.lane_pack && !exec.empty()) {
     STRUCTNET_OBS_SPAN("serve.plan.lane_pack");
-    // t_start groups in first-appearance order (linear scans: both the
-    // group count and the lane count are small by construction).
+    // Fastest candidates, plus t_start groups in first-appearance order
+    // (linear scans: both the group count and the lane count are small
+    // by construction).
+    std::vector<std::size_t> fastest_exec;
     std::vector<TimeUnit> group_key;
     std::vector<std::vector<std::size_t>> group_exec;
     for (std::size_t i = 0; i < exec.size(); ++i) {
-      const auto* q =
-          std::get_if<TemporalDistancesQuery>(&batch[exec[i]].query);
+      const Query& query = batch[exec[i]].query;
+      if (const auto* f = std::get_if<FastestJourneyQuery>(&query)) {
+        if (f->source != f->target) fastest_exec.push_back(i);
+        continue;
+      }
+      const auto* q = std::get_if<TemporalDistancesQuery>(&query);
       if (q == nullptr) continue;
       std::size_t g = 0;
       while (g < group_key.size() && group_key[g] != q->t_start) ++g;
@@ -494,6 +512,19 @@ std::size_t QueryBroker::flush() {
         group_exec.emplace_back();
       }
       group_exec[g].push_back(i);
+    }
+    if (fastest_exec.size() >= 2) {
+      for (const std::size_t i : fastest_exec) {
+        if (fastest_blocks.empty() || fastest_blocks.back().lanes.size() ==
+                                          MultiSourceWorkspace::kMaxLanes) {
+          fastest_blocks.emplace_back();
+        }
+        const auto& q = std::get<FastestJourneyQuery>(batch[exec[i]].query);
+        fastest_blocks.back().lanes.push_back({q.source, q.target, q.t_start});
+        fastest_blocks.back().exec.push_back(i);
+        lane_filled[i] = 1;
+      }
+      metrics_.fastest_lanes_packed.add(fastest_exec.size());
     }
     std::size_t packed = 0;
     for (std::size_t g = 0; g < group_key.size(); ++g) {
@@ -532,35 +563,50 @@ std::size_t QueryBroker::flush() {
     }
   }
 
-  // Phase 3 — execute: lane blocks first (one sweep per shard), then
-  // the remaining misses one query per shard. Shard boundaries are a
-  // pure function of the batch, so any thread count computes the same
-  // per-query results (see parallel/parallel.hpp).
+  // Phase 3 — execute: lane blocks first (one sweep per shard; fastest
+  // blocks lead, so the longest sweep starts first), then the remaining
+  // misses one query per shard. Shard boundaries are a pure function of
+  // the batch, so any thread count computes the same per-query results
+  // (see parallel/parallel.hpp).
   std::vector<QueryPayload> payloads(exec.size());
   if (!exec.empty()) {
     STRUCTNET_OBS_SPAN("serve.execute");
     const std::size_t slots = resolve_threads(config_.threads);
     if (workspaces_.size() < slots) workspaces_.resize(slots);
-    if (!lane_blocks.empty()) {
+    const std::size_t blocks = fastest_blocks.size() + lane_blocks.size();
+    if (blocks > 0) {
       if (ms_workspaces_.size() < slots) ms_workspaces_.resize(slots);
       parallel_for_shards(
-          0, lane_blocks.size(), /*grain=*/1, config_.threads,
+          0, blocks, /*grain=*/1, config_.threads,
           [&](std::size_t, std::size_t lo, std::size_t hi,
               std::size_t worker) {
             MultiSourceWorkspace& w = ms_workspaces_[worker];
             for (std::size_t b = lo; b < hi; ++b) {
-              const LaneBlock& block = lane_blocks[b];
+              if (b < fastest_blocks.size()) {
+                // The span covers the shared sweep plus every lane's
+                // journey materialization: the same work the scalar
+                // serve.kernel.fastest_journey span times per query.
+                STRUCTNET_OBS_SPAN("serve.kernel.fastest_journey_batch");
+                const FastestBlock& block = fastest_blocks[b];
+                with_index(delta_csr_, csr_, [&](const auto& index) {
+                  const auto departures =
+                      csr_fastest_departure_batch(index, block.lanes, w);
+                  for (std::size_t l = 0; l < block.lanes.size(); ++l) {
+                    payloads[block.exec[l]] = fastest_journey_payload(
+                        index, block.lanes[l].source, block.lanes[l].target,
+                        departures[l], workspaces_[worker]);
+                  }
+                });
+                continue;
+              }
+              const LaneBlock& block = lane_blocks[b - fastest_blocks.size()];
               const std::span<const VertexId> sources(block.sources.data(),
                                                       block.sources.size());
               {
                 STRUCTNET_OBS_SPAN("serve.kernel.temporal_distances_batch");
-                if (delta_csr_ != nullptr) {
-                  csr_earliest_arrival_batch(*delta_csr_, sources,
-                                             block.t_start, w);
-                } else {
-                  csr_earliest_arrival_batch(*csr_, sources, block.t_start,
-                                             w);
-                }
+                with_index(delta_csr_, csr_, [&](const auto& index) {
+                  csr_earliest_arrival_batch(index, sources, block.t_start, w);
+                });
               }
               for (std::size_t l = 0; l < block.sources.size(); ++l) {
                 // completion(l) is the exact bytes the scalar kernel's

@@ -17,7 +17,14 @@
 //                                         |  + ONE materialized Graph per
 //                                         |  epoch, shared by the batch
 //                                         |   v
-//                                         |  parallel_for over queries
+//                                         |  lane-pack plan: FastestJourney
+//                                         |  misses -> shared union-find
+//                                         |  sweeps, TemporalDistances
+//                                         |  misses -> multi-source sweeps
+//                                         |  (<= 64 lanes per block)
+//                                         |   v
+//                                         |  parallel_for over lane blocks,
+//                                         |  then over the other queries
 //                                         v   v
 //                                     futures resolve, cache fills
 //
@@ -97,12 +104,18 @@ struct BrokerConfig {
   /// Delta/base size ratio beyond which planning folds the overlay into
   /// a fresh base (see DeltaTemporalCsr::needs_compaction).
   double csr_compact_ratio = 0.25;
-  /// Lane-packed batch planning: TemporalDistances queries sharing a
-  /// t_start are grouped (up to 64 distinct sources each) into ONE
-  /// multi-source sweep per group instead of one scalar sweep per query
-  /// (temporal/multi_source.hpp). Payloads are bit-identical to the
-  /// scalar planner's; queries needing hop reconstruction (journeys)
-  /// always take the scalar path. Off = one sweep per query.
+  /// Lane-packed batch planning (temporal/multi_source.hpp), instead of
+  /// one scalar sweep per query:
+  ///   * TemporalDistances misses sharing a t_start are grouped (up to
+  ///     64 distinct sources each) into ONE multi-source sweep;
+  ///   * FastestJourney misses with source != target are packed, in
+  ///     submission order and whatever their t_starts, up to 64 per
+  ///     block into ONE sweep that builds each time unit's union-find
+  ///     once for all of them; each journey is then materialized by the
+  ///     same earliest-arrival sweep the scalar path runs.
+  /// A lone FastestJourney, singleton distances groups and min-hop
+  /// journeys take the scalar path. Payloads are bit-identical to the
+  /// scalar planner's at any thread count. Off = one sweep per query.
   bool lane_pack = true;
   /// Clock seam: when set, every wall-clock read (submission stamps,
   /// deadline expiry, latency accounting) goes through this function
@@ -237,6 +250,7 @@ class QueryBroker final : public StreamObserver {
     obs::Counter& batches;
     obs::Counter& lanes_packed;
     obs::Counter& sweeps_saved;
+    obs::Counter& fastest_lanes_packed;
     obs::Counter& csr_builds;
     obs::Counter& csr_reuses;
     obs::Counter& csr_delta_appends;

@@ -78,20 +78,6 @@ Journey journey_from_via(const EarliestArrival& ea, VertexId source,
   return j;
 }
 
-Journey journey_from_workspace(const TemporalWorkspace& ws, VertexId source,
-                               VertexId target) {
-  Journey j;
-  VertexId cur = target;
-  while (cur != source) {
-    const JourneyHop hop = ws.via(cur);
-    assert(hop.from != kInvalidVertex);
-    j.hops.push_back(hop);
-    cur = hop.from;
-  }
-  std::reverse(j.hops.begin(), j.hops.end());
-  return j;
-}
-
 }  // namespace
 
 bool Journey::valid_for(const TemporalGraph& eg) const {
@@ -155,7 +141,7 @@ std::optional<Journey> earliest_completion_journey(const TemporalGraph& eg,
   TemporalWorkspace ws;
   csr_earliest_arrival(csr, source, t_start, ws, target);
   if (ws.arrival(target) == kNeverTime) return std::nullopt;
-  return journey_from_workspace(ws, source, target);
+  return ws.journey(source, target);
 }
 
 std::optional<Journey> minimum_hop_journey(const TemporalGraph& eg,
@@ -181,7 +167,7 @@ std::optional<Journey> fastest_journey(const TemporalGraph& eg,
   if (!fd) return std::nullopt;
   csr_earliest_arrival(csr, source, fd->first, ws, target);
   assert(ws.arrival(target) != kNeverTime);
-  return journey_from_workspace(ws, source, target);
+  return ws.journey(source, target);
 }
 
 bool is_connected_at(const TemporalGraph& eg, VertexId u, VertexId v,

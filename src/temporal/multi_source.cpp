@@ -23,6 +23,20 @@ void batch_sweep(const Index& csr, std::span<const VertexId> sources,
                                                record_via);
 }
 
+template <class Index>
+std::vector<std::optional<std::pair<TimeUnit, TimeUnit>>> fastest_batch(
+    const Index& csr, std::span<const FastestLane> lanes,
+    MultiSourceWorkspace& ws) {
+  STRUCTNET_OBS_SPAN("temporal.csr_fastest_departure_batch");
+  static obs::Counter& calls = obs::MetricsRegistry::global().counter(
+      "temporal.csr_fastest_departure_batch_calls");
+  static obs::Counter& lane_count = obs::MetricsRegistry::global().counter(
+      "temporal.csr_fastest_departure_batch_lanes");
+  calls.add();
+  lane_count.add(lanes.size());
+  return detail::WorkspaceOps::fastest_departure_batch(csr, lanes, ws);
+}
+
 }  // namespace
 
 void csr_earliest_arrival_batch(const TemporalCsr& csr,
@@ -37,6 +51,20 @@ void csr_earliest_arrival_batch(const DeltaTemporalCsr& csr,
                                 TimeUnit t_start, MultiSourceWorkspace& ws,
                                 bool record_via) {
   batch_sweep(csr, sources, t_start, ws, record_via);
+}
+
+std::vector<std::optional<std::pair<TimeUnit, TimeUnit>>>
+csr_fastest_departure_batch(const TemporalCsr& csr,
+                            std::span<const FastestLane> lanes,
+                            MultiSourceWorkspace& ws) {
+  return fastest_batch(csr, lanes, ws);
+}
+
+std::vector<std::optional<std::pair<TimeUnit, TimeUnit>>>
+csr_fastest_departure_batch(const DeltaTemporalCsr& csr,
+                            std::span<const FastestLane> lanes,
+                            MultiSourceWorkspace& ws) {
+  return fastest_batch(csr, lanes, ws);
 }
 
 }  // namespace structnet

@@ -1,19 +1,24 @@
-// Lane-packed multi-source earliest-arrival sweeps: up to 64 sources
-// share ONE ascending pass over the contact index's per-unit edge
-// stream, amortizing the scan every all-pairs kernel used to repeat
-// once per source (MS-BFS applied to the temporal fixed point).
+// Lane-packed multi-source temporal sweeps: up to 64 queries share ONE
+// ascending pass over the contact index's per-unit edge stream,
+// amortizing the scan every caller used to repeat once per query
+// (MS-BFS applied to the temporal kernels). Two kernels:
 //
-// Lane layout. Lane l of a batch is source sources[l]. Per vertex the
-// workspace keeps one 64-bit reached word (bit l set = lane l has
-// reached the vertex) plus a lanes-strided arrival row (and, when
-// requested, a strided via-from row for journey-tree walks). A unit's
-// closure fires word-wide: for an edge (u, v) with words mu / mv, the
-// lanes `mu & ~mv` fire u -> v and `mv & ~mu` fire v -> u — per lane at
-// most one direction can fire, so one OR per endpoint replays up to 64
-// scalar firings.
+//   * csr_earliest_arrival_batch — up to 64 earliest-arrival sources
+//     (all-pairs callers, the broker's TemporalDistances lanes);
+//   * csr_fastest_departure_batch — up to 64 (source, target, t_start)
+//     fastest-journey profiles (the broker's FastestJourney lanes).
 //
-// Fixed-point identity. The batch kernel replays the legacy scalar
-// sequence (temporal_kernels.hpp) exactly, per lane:
+// Earliest arrival: lane layout. Lane l of a batch is source
+// sources[l]. Per vertex the workspace keeps one 64-bit reached word
+// (bit l set = lane l has reached the vertex) plus a lanes-strided
+// arrival row (and, when requested, a strided via-from row for
+// journey-tree walks). A unit's closure fires word-wide: for an edge
+// (u, v) with words mu / mv, the lanes `mu & ~mv` fire u -> v and
+// `mv & ~mu` fire v -> u — per lane at most one direction can fire, so
+// one OR per endpoint replays up to 64 scalar firings.
+//
+// Earliest arrival: fixed-point identity. The batch kernel replays the
+// legacy scalar sequence (temporal_kernels.hpp) exactly, per lane:
 //   * pass 1 scans the whole unit in ascending edge id — per lane the
 //     same scan the scalar kernel makes, because a lane's firing
 //     decision reads only that lane's bits;
@@ -28,19 +33,41 @@
 // iff some still-pending vertex w has a contact at t with a neighbor
 // whose word carries a bit w lacks (`word(nbr) & ~word(w) != 0`).
 //
+// Fastest departure: shared union-find. The scalar profile kernel
+// spends its time building each unit's union-find over the unit's
+// edges; the resulting components are a property of the snapshot, not
+// of the query. The batch kernel builds each unit's union-find ONCE and
+// gives every lane its own lanes-strided departure row (the scalar
+// kernel's per-vertex "latest departure that has arrived by now").
+// Per lane it is bit-identical to csr_fastest_departure:
+//   * component membership does not depend on union order, and a
+//     component's value is the max over its members, so merging a
+//     lane's rows lane-wise into the root and copying the root row back
+//     to every member evolves each lane's row exactly like the scalar
+//     union-and-propagate loop;
+//   * a lane's source contributes "depart now" only from that lane's
+//     own t_start on (before it the lane's row is empty and stays
+//     empty), so one block mixes t_starts and the sweep starts at the
+//     block's earliest one;
+//   * a lane records a candidate span only when its target's departure
+//     strictly improves, and stops recording once it reaches span 0;
+//     the sweep ends when every lane is done or at the horizon.
+//
 // Works on both index types (TemporalCsr and DeltaTemporalCsr) through
-// the shared kernel iteration contract; see csr_earliest_arrival_batch
-// below. Callers shard all-pairs loops over blocks of kMaxLanes sources
-// (fixed block -> shard mapping, so results stay bit-identical at any
-// thread count), and the QueryBroker lane-packs batched
-// TemporalDistances queries into these sweeps (serve/broker.cpp).
+// the shared kernel iteration contract. Callers shard all-pairs loops
+// over blocks of kMaxLanes sources (fixed block -> shard mapping, so
+// results stay bit-identical at any thread count), and the QueryBroker
+// lane-packs batched TemporalDistances and FastestJourney queries into
+// these sweeps (serve/broker.cpp).
 #pragma once
 
 #include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "temporal/temporal_csr.hpp"
@@ -52,7 +79,9 @@ class DeltaTemporalCsr;
 /// Reusable scratch for lane-packed sweeps: one reached word per vertex
 /// plus lanes-strided arrival / via-from rows, epoch-stamped so a new
 /// sweep invalidates everything without clearing (pooled per worker
-/// slot exactly like TemporalWorkspace).
+/// slot exactly like TemporalWorkspace). Fastest-departure sweeps reuse
+/// the arrival rows as departure rows and add a per-unit union-find,
+/// allocated only once such a sweep runs.
 class MultiSourceWorkspace {
  public:
   /// Lanes per sweep: one bit of the per-vertex reached word each.
@@ -119,6 +148,33 @@ class MultiSourceWorkspace {
   std::uint64_t word(VertexId v) const {
     return stamp_[v] == epoch_ ? mask_[v] : 0;
   }
+  /// Sizes the per-unit union-find of fastest-departure sweeps (kept
+  /// out of bind() so earliest-arrival sweeps never allocate it).
+  void bind_union_find(std::size_t n) {
+    if (uf_.size() != n) uf_.assign(n, UnionFindNode{});
+  }
+  /// Opens a fresh union-find generation for one time unit. On the
+  /// (rare) 32-bit wrap every node is re-zeroed, so a stale tick can
+  /// never alias the current one.
+  std::uint32_t next_unit_tick() {
+    if (++unit_tick_ == 0) {
+      for (UnionFindNode& node : uf_) node.tick = 0;
+      unit_tick_ = 1;
+    }
+    return unit_tick_;
+  }
+  /// v's departure row in a fastest sweep: lanes_ entries holding d + 1
+  /// (0 = no journey has arrived yet, so merging is a plain lane-wise
+  /// max). Meaningful only while has_row(v); claim_row(v) makes it so
+  /// without initializing it.
+  TimeUnit* row(VertexId v) {
+    return arrival_.data() + static_cast<std::size_t>(v) * lanes_;
+  }
+  bool has_row(VertexId v) const { return stamp_[v] == epoch_; }
+  void claim_row(VertexId v) {
+    stamp_[v] = epoch_;
+    mask_[v] = 0;  // the earliest-arrival accessors then see nothing
+  }
   /// ORs `bits` into v's reached word and stamps each newly set lane's
   /// arrival (and via-from) — the word-wide set_arrival. Callers pass
   /// only lanes not yet set (bits = other & ~word(v)), so every
@@ -156,6 +212,16 @@ class MultiSourceWorkspace {
   // WorkspaceOps::refresh_contact_list).
   std::uint64_t contact_state_ = 0;
   std::vector<VertexId> contact_list_;
+  // Fastest-departure sweeps: the per-unit union-find (a node belongs
+  // to the current unit iff its tick matches) and its lazy-init log,
+  // i.e. the vertices the unit's edges touch.
+  struct UnionFindNode {
+    VertexId parent = 0;
+    std::uint32_t tick = 0;
+  };
+  std::uint32_t unit_tick_ = 0;
+  std::vector<UnionFindNode> uf_;
+  std::vector<VertexId> touched_;
 };
 
 /// Number of kMaxLanes-sized source blocks covering an all-sources
@@ -180,5 +246,30 @@ void csr_earliest_arrival_batch(const DeltaTemporalCsr& csr,
                                 std::span<const VertexId> sources,
                                 TimeUnit t_start, MultiSourceWorkspace& ws,
                                 bool record_via = false);
+
+/// One lane of a fastest-departure batch: the arguments of one scalar
+/// csr_fastest_departure call.
+struct FastestLane {
+  VertexId source = kInvalidVertex;
+  VertexId target = kInvalidVertex;
+  TimeUnit t_start = 0;
+};
+
+/// Fastest-journey departure profiles for up to kMaxLanes lanes in ONE
+/// ascending pass over the contact stream, each time unit's union-find
+/// built once and shared by every lane. Entry l of the result is
+/// bit-identical to csr_fastest_departure(csr, lanes[l].source,
+/// lanes[l].target, lanes[l].t_start, ...): the (departure, arrival)
+/// pair of a span-minimal journey, std::nullopt when unreachable.
+/// Lanes may repeat and may mix t_starts (t_start >= horizon included).
+/// Requires 1 <= lanes.size() <= kMaxLanes and source != target.
+std::vector<std::optional<std::pair<TimeUnit, TimeUnit>>>
+csr_fastest_departure_batch(const TemporalCsr& csr,
+                            std::span<const FastestLane> lanes,
+                            MultiSourceWorkspace& ws);
+std::vector<std::optional<std::pair<TimeUnit, TimeUnit>>>
+csr_fastest_departure_batch(const DeltaTemporalCsr& csr,
+                            std::span<const FastestLane> lanes,
+                            MultiSourceWorkspace& ws);
 
 }  // namespace structnet

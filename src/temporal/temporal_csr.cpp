@@ -157,6 +157,19 @@ EarliestArrival TemporalWorkspace::to_earliest_arrival() const {
   return ea;
 }
 
+Journey TemporalWorkspace::journey(VertexId source, VertexId target) const {
+  Journey j;
+  VertexId cur = target;
+  while (cur != source) {
+    const JourneyHop hop = via(cur);
+    assert(hop.from != kInvalidVertex);
+    j.hops.push_back(hop);
+    cur = hop.from;
+  }
+  std::reverse(j.hops.begin(), j.hops.end());
+  return j;
+}
+
 void csr_earliest_arrival(const TemporalCsr& csr, VertexId source,
                           TimeUnit t_start, TemporalWorkspace& ws,
                           VertexId stop_at) {

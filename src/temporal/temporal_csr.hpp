@@ -236,6 +236,10 @@ class TemporalWorkspace {
 
   /// Materializes the last sweep as the legacy result struct.
   EarliestArrival to_earliest_arrival() const;
+  /// Backtracks the via chain of the last earliest-arrival sweep from
+  /// `target` to `source` into a realized journey. Requires that sweep
+  /// to have started at `source` and reached `target`.
+  Journey journey(VertexId source, VertexId target) const;
 
  private:
   friend struct detail::WorkspaceOps;

@@ -26,10 +26,13 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <optional>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "temporal/multi_source.hpp"
 #include "temporal/temporal_csr.hpp"
@@ -53,6 +56,10 @@ struct WorkspaceOps {
   static std::optional<std::pair<TimeUnit, TimeUnit>> fastest_departure(
       const Index& csr, VertexId source, VertexId target, TimeUnit t_start,
       TemporalWorkspace& ws);
+  template <class Index>
+  static std::vector<std::optional<std::pair<TimeUnit, TimeUnit>>>
+  fastest_departure_batch(const Index& csr, std::span<const FastestLane> lanes,
+                          MultiSourceWorkspace& ws);
   template <class Index>
   static std::optional<Journey> minimum_hop(const Index& csr, VertexId source,
                                             VertexId target, TimeUnit t_start,
@@ -367,6 +374,132 @@ std::optional<std::pair<TimeUnit, TimeUnit>> WorkspaceOps::fastest_departure(
       }
     }
     if (best_span == 0) break;
+  }
+  return best;
+}
+
+// The lane-packed replay of fastest_departure: each unit's union-find is
+// built once for every lane, then each lane's departure rows merge
+// lane-wise into the component roots and copy back out to the members
+// (see multi_source.hpp for why that is the scalar loop, per lane).
+template <class Index>
+std::vector<std::optional<std::pair<TimeUnit, TimeUnit>>>
+WorkspaceOps::fastest_departure_batch(const Index& csr,
+                                      std::span<const FastestLane> lanes,
+                                      MultiSourceWorkspace& ws) {
+  constexpr std::size_t kMaxLanes = MultiSourceWorkspace::kMaxLanes;
+  const std::size_t count = lanes.size();
+  assert(count >= 1 && count <= kMaxLanes);
+  ws.bind(csr.vertex_count(), count, /*record_via=*/false);
+  ws.bind_union_find(csr.vertex_count());
+  ws.begin_sweep();
+
+  std::vector<std::optional<std::pair<TimeUnit, TimeUnit>>> best(count);
+  std::array<TimeUnit, kMaxLanes> best_span;
+  std::array<TimeUnit, kMaxLanes> before;  // target's row entering a unit
+  TimeUnit t_first = kNeverTime;
+  for (std::size_t l = 0; l < count; ++l) {
+    assert(lanes[l].source < csr.vertex_count());
+    assert(lanes[l].target < csr.vertex_count());
+    assert(lanes[l].source != lanes[l].target);
+    best_span[l] = kNeverTime;
+    t_first = std::min(t_first, lanes[l].t_start);
+  }
+  // Lanes still recording candidates: a lane at span 0 is done (the
+  // scalar loop breaks there).
+  std::uint64_t open = count == kMaxLanes ? ~std::uint64_t{0}
+                                          : (std::uint64_t{1} << count) - 1;
+  auto& uf = ws.uf_;
+
+  // find() with per-unit lazy init, path halving.
+  std::uint32_t tick = 0;
+  const auto find = [&](VertexId x) {
+    if (uf[x].tick != tick) {
+      uf[x] = {x, tick};
+      ws.touched_.push_back(x);
+      return x;
+    }
+    while (uf[x].parent != x) {
+      uf[x].parent = uf[uf[x].parent].parent;
+      x = uf[x].parent;
+    }
+    return x;
+  };
+  // A root's row, zero-filled ("nothing arrived") on first claim.
+  const auto root_row = [&](VertexId r) {
+    if (!ws.has_row(r)) {
+      ws.claim_row(r);
+      std::fill_n(ws.row(r), count, TimeUnit{0});
+    }
+    return ws.row(r);
+  };
+
+  for (TimeUnit t = t_first; t < csr.horizon() && open != 0; ++t) {
+    if (csr.unit_size(t) == 0) continue;
+    // Open lanes that have started. Before its t_start a lane's rows
+    // are all empty and its source contributes nothing, so a unit with
+    // no live lane changes nothing any open lane can observe.
+    std::uint64_t live = 0;
+    for (std::uint64_t bits = open; bits != 0; bits &= bits - 1) {
+      const auto l = static_cast<std::size_t>(std::countr_zero(bits));
+      if (t >= lanes[l].t_start) live |= std::uint64_t{1} << l;
+    }
+    if (live == 0) continue;
+
+    tick = ws.next_unit_tick();
+    ws.touched_.clear();
+    csr.for_each_edge_at(t, [&](EdgeId e) {
+      const VertexId ru = find(csr.edge_u(e)), rv = find(csr.edge_v(e));
+      if (ru != rv) uf[ru].parent = rv;
+      return true;
+    });
+
+    for (std::uint64_t bits = live; bits != 0; bits &= bits - 1) {
+      const auto l = static_cast<std::size_t>(std::countr_zero(bits));
+      const VertexId target = lanes[l].target;
+      before[l] = ws.has_row(target) ? ws.row(target)[l] : 0;
+    }
+
+    // Gather: every member's row merges lane-wise into its root's (and
+    // points straight at the root, so the scatter needs no find).
+    for (const VertexId x : ws.touched_) {
+      const VertexId r = find(x);
+      uf[x].parent = r;
+      if (r == x || !ws.has_row(x)) continue;
+      TimeUnit* dst = root_row(r);
+      const TimeUnit* src = ws.row(x);
+      for (std::size_t l = 0; l < count; ++l) {
+        dst[l] = std::max(dst[l], src[l]);
+      }
+    }
+    // A live lane's source departs "now": t + 1 dominates every row.
+    for (std::uint64_t bits = live; bits != 0; bits &= bits - 1) {
+      const auto l = static_cast<std::size_t>(std::countr_zero(bits));
+      const VertexId source = lanes[l].source;
+      if (uf[source].tick == tick) root_row(uf[source].parent)[l] = t + 1;
+    }
+    // Scatter: members adopt their component's merged row (never lower
+    // than their own, which the root row already absorbed).
+    for (const VertexId x : ws.touched_) {
+      const VertexId r = uf[x].parent;
+      if (r == x || !ws.has_row(r)) continue;
+      if (!ws.has_row(x)) ws.claim_row(x);
+      std::copy_n(ws.row(r), count, ws.row(x));
+    }
+
+    for (std::uint64_t bits = live; bits != 0; bits &= bits - 1) {
+      const auto l = static_cast<std::size_t>(std::countr_zero(bits));
+      const VertexId target = lanes[l].target;
+      if (uf[target].tick != tick || !ws.has_row(target)) continue;
+      const TimeUnit d1 = ws.row(target)[l];
+      if (d1 <= before[l]) continue;
+      const TimeUnit span = t - (d1 - 1);
+      if (span < best_span[l]) {
+        best_span[l] = span;
+        best[l] = {d1 - 1, t};
+        if (span == 0) open &= ~(std::uint64_t{1} << l);
+      }
+    }
   }
   return best;
 }

@@ -3,14 +3,20 @@
 // csr_earliest_arrival from that lane's source — across ragged lane
 // counts, duplicate sources, late/beyond-horizon starts, isolated
 // vertices, the delta overlay (including across a compaction
-// boundary), and workspace reuse across indexes. The converted
-// all-pairs callers must be bit-identical at 1/2/8 threads and to
-// scalar reference loops.
+// boundary), and workspace reuse across indexes. Every lane of
+// csr_fastest_departure_batch must equal csr_fastest_departure on a
+// fresh TemporalCsr — across ragged lane counts with mixed t_starts,
+// unreachable targets, duplicate lanes, lanes finishing early, and the
+// delta overlay. The converted all-pairs callers must be bit-identical
+// at 1/2/8 threads and to scalar reference loops.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <iterator>
+#include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "temporal/journeys.hpp"
@@ -203,6 +209,183 @@ TEST(MultiSourceWorkspaceTest, ContactCacheRefreshesAcrossIndexes) {
   expect_lanes_match_scalar(csr_a, sources, 0, ws, /*record_via=*/false);
   expect_lanes_match_scalar(csr_b, sources, 0, ws, /*record_via=*/false);
   expect_lanes_match_scalar(csr_a, sources, 0, ws, /*record_via=*/true);
+}
+
+// ------------------------------------------------ fastest departures
+
+/// Random fastest lanes over vertices [0, n): source != target, t_start
+/// anywhere in [0, horizon + 2] (so some lanes start at or past the
+/// horizon and never run).
+std::vector<FastestLane> random_fastest_lanes(Rng& rng, std::size_t n,
+                                              TimeUnit horizon,
+                                              std::size_t count) {
+  std::vector<FastestLane> lanes;
+  while (lanes.size() < count) {
+    const auto s = static_cast<VertexId>(rng.index(n));
+    const auto t = static_cast<VertexId>(rng.index(n));
+    if (s == t) continue;
+    lanes.push_back({s, t, static_cast<TimeUnit>(rng.index(horizon + 3))});
+  }
+  return lanes;
+}
+
+/// Asserts each lane of one fastest batch equals the scalar kernel run
+/// on `fresh` (a TemporalCsr built from the same contact set).
+template <class Index>
+void expect_fastest_lanes_match_scalar(const Index& csr,
+                                       const TemporalCsr& fresh,
+                                       const std::vector<FastestLane>& lanes,
+                                       MultiSourceWorkspace& ws) {
+  const auto got =
+      csr_fastest_departure_batch(csr, {lanes.data(), lanes.size()}, ws);
+  ASSERT_EQ(got.size(), lanes.size());
+  TemporalWorkspace scalar;
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    const auto want = csr_fastest_departure(fresh, lanes[l].source,
+                                            lanes[l].target, lanes[l].t_start,
+                                            scalar);
+    ASSERT_EQ(got[l], want) << "lane=" << l << " source=" << lanes[l].source
+                            << " target=" << lanes[l].target
+                            << " t_start=" << lanes[l].t_start;
+  }
+}
+
+TEST(MultiSourceFastest, RaggedLaneCountsWithMixedStartsMatchScalar) {
+  Rng rng(43);
+  // Isolated tail: lanes targeting it are unreachable.
+  const TemporalGraph eg = random_trace(rng, 60, 14, 170, /*isolated=*/5);
+  const TemporalCsr csr(eg);
+  MultiSourceWorkspace ws;  // deliberately reused across every shape
+  Rng pick(8);
+  std::size_t unreachable = 0, beyond_horizon = 0;
+  for (std::size_t count = 1; count <= MultiSourceWorkspace::kMaxLanes;
+       ++count) {
+    const auto lanes =
+        random_fastest_lanes(pick, eg.vertex_count(), eg.horizon(), count);
+    for (const FastestLane& lane : lanes) {
+      if (lane.target >= eg.vertex_count() - 5) ++unreachable;
+      if (lane.t_start >= eg.horizon()) ++beyond_horizon;
+    }
+    expect_fastest_lanes_match_scalar(csr, csr, lanes, ws);
+  }
+  // The shapes the sweep must cope with really occurred.
+  EXPECT_GT(unreachable, 0u);
+  EXPECT_GT(beyond_horizon, 0u);
+}
+
+TEST(MultiSourceFastest, DuplicateLanesAndEarlyFinisherMatchScalar) {
+  // Lane {0 -> 1} meets a direct contact at t = 2 (span 0, done), while
+  // lane {2 -> 5} first completes with span 6 and only improves to
+  // span 2 long after the first lane stopped.
+  TemporalGraph eg(8, 12);
+  eg.add_contact(0, 1, 2);
+  eg.add_contact(2, 3, 1);
+  eg.add_contact(3, 4, 4);
+  eg.add_contact(4, 5, 7);
+  eg.add_contact(2, 3, 8);
+  eg.add_contact(3, 4, 9);
+  eg.add_contact(4, 5, 10);
+  eg.add_contact(5, 6, 3);
+  const TemporalCsr csr(eg);
+  const std::vector<FastestLane> lanes = {
+      {0, 1, 0}, {2, 5, 0}, {0, 1, 0}, {2, 5, 0}, {2, 5, 5},
+      {6, 7, 0},  // 7 has no contacts: unreachable
+      {0, 1, 3},  // starts after its only contact
+  };
+  MultiSourceWorkspace ws;
+  expect_fastest_lanes_match_scalar(csr, csr, lanes, ws);
+  const auto got =
+      csr_fastest_departure_batch(csr, {lanes.data(), lanes.size()}, ws);
+  using Departure = std::optional<std::pair<TimeUnit, TimeUnit>>;
+  EXPECT_EQ(got[0], (Departure{{2, 2}}));
+  EXPECT_EQ(got[1], (Departure{{8, 10}}));
+  EXPECT_EQ(got[2], got[0]);
+  EXPECT_EQ(got[3], got[1]);
+  EXPECT_EQ(got[4], (Departure{{8, 10}}));
+  EXPECT_EQ(got[5], Departure{});
+  EXPECT_EQ(got[6], Departure{});
+}
+
+TEST(MultiSourceFastest, RandomizedSeedsMatchScalar) {
+  for (const std::uint64_t seed : {3ULL, 17ULL, 71ULL, 101ULL}) {
+    Rng rng(seed);
+    const std::size_t n = 20 + rng.index(70);
+    const TemporalGraph eg =
+        random_trace(rng, n, static_cast<TimeUnit>(5 + rng.index(16)),
+                     40 + rng.index(300), rng.index(4));
+    const TemporalCsr csr(eg);
+    MultiSourceWorkspace ws;
+    const std::size_t count = 1 + rng.index(MultiSourceWorkspace::kMaxLanes);
+    expect_fastest_lanes_match_scalar(
+        csr, csr, random_fastest_lanes(rng, n, eg.horizon(), count), ws);
+  }
+}
+
+TEST(MultiSourceFastest, DeltaOverlayMatchesFreshAcrossCompaction) {
+  constexpr std::size_t kN = 34;
+  constexpr TimeUnit kHorizon = 14;
+  Rng rng(67);
+  std::set<std::array<std::uint32_t, 3>> live;
+  const auto key = [](VertexId u, VertexId v, TimeUnit t) {
+    return std::array<std::uint32_t, 3>{std::min(u, v), std::max(u, v), t};
+  };
+  const auto rebuild = [&] {
+    TemporalGraph eg(kN, kHorizon);
+    for (const auto& c : live) eg.add_contact(c[0], c[1], c[2]);
+    return eg;
+  };
+  for (int i = 0; i < 80; ++i) {
+    const auto u = static_cast<VertexId>(rng.index(kN));
+    const auto v = static_cast<VertexId>(rng.index(kN));
+    if (u == v) continue;
+    live.insert(key(u, v, static_cast<TimeUnit>(rng.index(kHorizon))));
+  }
+  DeltaTemporalCsr delta(rebuild());
+  MultiSourceWorkspace ws;
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 30; ++i) {
+      if (rng.bernoulli(0.35)) {
+        // Tombstone a live contact (base or delta-added).
+        const auto c = *std::next(live.begin(),
+                                  static_cast<std::ptrdiff_t>(
+                                      rng.index(live.size())));
+        live.erase(c);
+        ASSERT_TRUE(delta.remove_contact(c[0], c[1], c[2]));
+        continue;
+      }
+      const auto u = static_cast<VertexId>(rng.index(kN));
+      const auto v = static_cast<VertexId>(rng.index(kN));
+      if (u == v) continue;
+      const auto t = static_cast<TimeUnit>(rng.index(kHorizon));
+      live.insert(key(u, v, t));
+      delta.add_contact(u, v, t);
+    }
+    const TemporalCsr fresh(rebuild());
+    const auto lanes = random_fastest_lanes(rng, kN, kHorizon, 24 + 8 * round);
+    expect_fastest_lanes_match_scalar(delta, fresh, lanes, ws);
+  }
+  delta.rebase(rebuild());  // compaction boundary
+  const TemporalCsr fresh(rebuild());
+  expect_fastest_lanes_match_scalar(
+      delta, fresh,
+      random_fastest_lanes(rng, kN, kHorizon, MultiSourceWorkspace::kMaxLanes),
+      ws);
+}
+
+TEST(MultiSourceWorkspaceTest, FastestAndEarliestArrivalShareAWorkspace) {
+  Rng rng(79);
+  const TemporalGraph eg = random_trace(rng, 40, 10, 120, /*isolated=*/3);
+  const TemporalCsr csr(eg);
+  MultiSourceWorkspace ws;
+  const std::vector<VertexId> sources = {0, 4, 9, 4, 30};
+  // Interleave the two kernels on one workspace: neither may read the
+  // other's leftover rows as its own.
+  expect_lanes_match_scalar(csr, sources, 0, ws, /*record_via=*/true);
+  expect_fastest_lanes_match_scalar(
+      csr, csr, random_fastest_lanes(rng, 40, eg.horizon(), 33), ws);
+  expect_lanes_match_scalar(csr, sources, 2, ws, /*record_via=*/true);
+  expect_fastest_lanes_match_scalar(
+      csr, csr, random_fastest_lanes(rng, 40, eg.horizon(), 7), ws);
 }
 
 TEST(MultiSourceCallers, AllPairsKernelsThreadCountInvariant) {

@@ -170,7 +170,8 @@ TEST(QueryBrokerTest, EachKindMatchesDirectComputation) {
   }
   for (const auto measure :
        {CentralityMeasure::kDegree, CentralityMeasure::kCloseness,
-        CentralityMeasure::kBetweenness, CentralityMeasure::kClustering}) {
+        CentralityMeasure::kBetweenness, CentralityMeasure::kClustering,
+        CentralityMeasure::kTemporalCloseness}) {
     auto r = run_one(broker, CentralityQuery{measure});
     ASSERT_EQ(r.status, QueryStatus::kOk);
     std::vector<double> expect;
@@ -184,6 +185,9 @@ TEST(QueryBrokerTest, EachKindMatchesDirectComputation) {
         break;
       case CentralityMeasure::kClustering:
         expect = clustering_coefficients(g);
+        break;
+      case CentralityMeasure::kTemporalCloseness:
+        expect = temporal_closeness(tg, 1);
         break;
     }
     EXPECT_EQ(std::get<std::vector<double>>(r.payload), expect);
@@ -406,6 +410,7 @@ TEST(ServeStatsTest, JsonLineIsMachineReadable) {
 struct ChurnRun {
   std::vector<QueryPayload> payloads;
   ServeStats stats;
+  std::uint64_t fastest_lanes_packed = 0;
 };
 
 ChurnRun churn_run(std::size_t threads, bool delta_index = true) {
@@ -454,6 +459,10 @@ ChurnRun churn_run(std::size_t threads, bool delta_index = true) {
     queries.emplace_back(TemporalDistancesQuery{s, 0});
     queries.emplace_back(TemporalDistancesQuery{s, 0});  // cache hit
     queries.emplace_back(FastestJourneyQuery{s, t, 0});
+    // A second journey miss with another t_start: the two share one
+    // lane-packed fastest sweep over the batch's contact index.
+    queries.emplace_back(
+        FastestJourneyQuery{t, s, static_cast<TimeUnit>(1 + round % 4)});
     queries.emplace_back(MinHopJourneyQuery{t, s, 0});
     queries.emplace_back(CentralityQuery{CentralityMeasure::kDegree});
     if (round % 3 == 0) {
@@ -509,6 +518,8 @@ ChurnRun churn_run(std::size_t threads, bool delta_index = true) {
     }
   }
   run.stats = broker.stats();
+  run.fastest_lanes_packed = broker.metrics().snapshot().counter_value(
+      "serve.fastest_lanes_packed");
   return run;
 }
 
@@ -516,6 +527,7 @@ TEST(ServeChurnTest, ServedEqualsFreshRecomputeAtAnyThreadCount) {
   const ChurnRun serial = churn_run(1);
   EXPECT_GT(serial.stats.cache_hits, 0u);  // the duplicate query hits
   EXPECT_GT(serial.stats.executed, 0u);
+  EXPECT_GT(serial.fastest_lanes_packed, 0u);  // journeys were lane-packed
 
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
     const ChurnRun parallel_run = churn_run(threads);
@@ -527,6 +539,7 @@ TEST(ServeChurnTest, ServedEqualsFreshRecomputeAtAnyThreadCount) {
     }
     EXPECT_EQ(parallel_run.stats.cache_hits, serial.stats.cache_hits);
     EXPECT_EQ(parallel_run.stats.executed, serial.stats.executed);
+    EXPECT_EQ(parallel_run.fastest_lanes_packed, serial.fastest_lanes_packed);
   }
 }
 
@@ -1145,6 +1158,10 @@ TEST(QueryBrokerTest, StopRacingApplyEventsDrainsCleanly) {
 std::vector<QueryResult> lane_pack_run(bool lane_pack, std::size_t threads,
                                        ServeStats* stats_out = nullptr) {
   ServeRig rig(404);
+  // A contact-free newcomer: fastest journeys to it are unreachable.
+  const std::vector<Event> growth{Event::node_join()};
+  rig.engine.apply_batch(growth);
+  const auto isolated = static_cast<VertexId>(ServeRig::kNodes);
   BrokerConfig cfg;
   cfg.threads = threads;
   cfg.deterministic = true;
@@ -1166,8 +1183,14 @@ std::vector<QueryResult> lane_pack_run(bool lane_pack, std::size_t threads,
   }
   submit(TemporalDistancesQuery{1, 0});
   submit(TemporalDistancesQuery{1, 0});  // duplicate pair shares a lane
-  submit(FastestJourneyQuery{0, 5, 0});  // journeys stay scalar
-  submit(MinHopJourneyQuery{5, 0, 0});
+  // Fastest misses share one block across t_starts; the contact-free
+  // target is unreachable and source == target stays scalar.
+  submit(FastestJourneyQuery{0, 5, 0});
+  submit(FastestJourneyQuery{7, 2, 3});
+  submit(FastestJourneyQuery{3, isolated, 1});
+  submit(FastestJourneyQuery{5, 0, 6});
+  submit(FastestJourneyQuery{4, 4, 2});
+  submit(MinHopJourneyQuery{5, 0, 0});  // min-hop stays scalar
   submit(CentralityQuery{CentralityMeasure::kDegree});
   submit(CentralityQuery{CentralityMeasure::kTemporalCloseness});
   broker.flush();
@@ -1185,12 +1208,25 @@ TEST(QueryBrokerLanePack, PackedPayloadsByteIdenticalToScalarPlanner) {
     const auto packed = lane_pack_run(true, threads, &packed_stats);
     const auto scalar = lane_pack_run(false, threads, &scalar_stats);
     ASSERT_EQ(packed.size(), scalar.size());
+    std::size_t journeys = 0, unreachable = 0;
     for (std::size_t i = 0; i < packed.size(); ++i) {
       ASSERT_EQ(packed[i].status, QueryStatus::kOk) << "i=" << i;
       ASSERT_EQ(scalar[i].status, QueryStatus::kOk) << "i=" << i;
       EXPECT_TRUE(payload_equal(packed[i].payload, scalar[i].payload))
           << "i=" << i << " threads=" << threads;
+      if (const auto* j =
+              std::get_if<std::optional<Journey>>(&packed[i].payload)) {
+        if (!j->has_value()) {
+          ++unreachable;
+        } else if (!(*j)->empty()) {
+          ++journeys;
+        }
+      }
     }
+    // Packed journeys really materialized, and the unreachable lane
+    // really came back empty.
+    EXPECT_GE(journeys, 3u);
+    EXPECT_GE(unreachable, 1u);
     EXPECT_GT(packed_stats.lanes_packed, 0u);
     EXPECT_GT(packed_stats.sweeps_saved, 0u);
     EXPECT_EQ(scalar_stats.lanes_packed, 0u);
@@ -1216,13 +1252,34 @@ TEST(QueryBrokerLanePack, CountersReflectExactPlan) {
   futures.push_back(broker.submit(TemporalDistancesQuery{5, 2}));
   // Singleton group t=5: stays scalar (packing saves nothing).
   futures.push_back(broker.submit(TemporalDistancesQuery{6, 5}));
+  // Fastest misses with source != target: one 3-lane block whatever
+  // their t_starts; source == target stays scalar.
+  futures.push_back(broker.submit(FastestJourneyQuery{0, 5, 0}));
+  futures.push_back(broker.submit(FastestJourneyQuery{5, 0, 4}));
+  futures.push_back(broker.submit(FastestJourneyQuery{2, 9, 1}));
+  futures.push_back(broker.submit(FastestJourneyQuery{3, 3, 0}));
   broker.flush();
   for (auto& f : futures) EXPECT_EQ(f.get().status, QueryStatus::kOk);
 
+  const auto fastest_packed = [&] {
+    return broker.metrics().snapshot().counter_value(
+        "serve.fastest_lanes_packed");
+  };
   const ServeStats stats = broker.stats();
   EXPECT_EQ(stats.lanes_packed, 5u);   // 3 + 2 distinct (source, t) lanes
   EXPECT_EQ(stats.sweeps_saved, 4u);   // 6 packed queries - 2 sweeps
-  EXPECT_EQ(stats.executed, 7u);
+  EXPECT_EQ(fastest_packed(), 3u);     // distances counters exclude them
+  EXPECT_EQ(stats.executed, 11u);
+
+  // A lone FastestJourney miss (next to a source == target one) stays
+  // on the scalar path.
+  std::vector<std::future<QueryResult>> lone;
+  lone.push_back(broker.submit(FastestJourneyQuery{1, 6, 0}));
+  lone.push_back(broker.submit(FastestJourneyQuery{2, 2, 0}));
+  broker.flush();
+  for (auto& f : lone) EXPECT_EQ(f.get().status, QueryStatus::kOk);
+  EXPECT_EQ(fastest_packed(), 3u);
+  EXPECT_EQ(broker.stats().executed, 13u);
 }
 
 TEST(QueryBrokerLanePack, TemporalClosenessServedMatchesDirect) {

@@ -438,7 +438,9 @@ void expect_delta_kernels_equal(const TemporalGraph& eg,
                                             wsb);
     ASSERT_EQ(jb.has_value(), ja.has_value())
         << "minhop s=" << source << " tgt=" << target;
-    if (ja) ASSERT_EQ(jb->hops, ja->hops) << "minhop s=" << source;
+    if (ja) {
+      ASSERT_EQ(jb->hops, ja->hops) << "minhop s=" << source;
+    }
   }
 }
 
