@@ -1,11 +1,14 @@
-// Query-serving benchmark: the broker's three levers measured head-on.
+// Query-serving benchmark: the broker's levers measured head-on.
 //
-//   * cache on/off — ns per query for same-epoch repeats; the epoch-keyed
-//     result cache must be >= 10x faster than uncached re-execution.
+//   * cache on/off — ns per query for same-epoch repeats vs uncached
+//     re-execution.
 //   * throughput vs offered load — queries/sec through submit+flush at
 //     increasing batch sizes, serial and default-parallel.
 //   * shed rate vs queue bound — fraction of a fixed burst shed by
 //     admission control as max_queue shrinks (backpressure, not blocking).
+//   * churn serving — delta-advance planning under interleaved events,
+//     checked against a freshly rebuilt contact index.
+//   * lane packing — one-query flushes vs one lane-packed flush.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -15,6 +18,7 @@
 #include <future>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -24,6 +28,7 @@
 #include "serve/query.hpp"
 #include "stream/engine.hpp"
 #include "stream/observers.hpp"
+#include "temporal/temporal_csr.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -67,6 +72,23 @@ double drive(QueryBroker& broker, const std::vector<Query>& queries) {
     while (broker.queue_depth() > 0) broker.flush();
     for (auto& f : futures) f.get();
   }) / static_cast<double>(queries.size());
+}
+
+/// Like drive(), but flushes after every submission: a one-query batch
+/// shares no sweep, so each query runs on the scalar path.
+double drive_one_by_one(QueryBroker& broker,
+                        const std::vector<Query>& queries) {
+  return time_ns_per_op(1, [&](std::size_t) {
+    for (const Query& q : queries) {
+      auto f = broker.submit(q);
+      broker.flush();
+      f.get();
+    }
+  }) / static_cast<double>(queries.size());
+}
+
+std::uint64_t counter(const QueryBroker& broker, std::string_view name) {
+  return broker.metrics().snapshot().counter_value(name);
 }
 
 std::vector<Query> distinct_temporal_queries(std::size_t count) {
@@ -159,15 +181,14 @@ void shed_rate_table() {
     while (broker.queue_depth() > 0) broker.flush();
     for (auto& f : futures) f.get();
 
-    const ServeStats stats = broker.stats();
-    const double rate =
-        static_cast<double>(stats.shed_queue_full) / double(kBurst);
+    const std::uint64_t shed = counter(broker, "serve.shed_queue_full");
+    const double rate = static_cast<double>(shed) / double(kBurst);
     t.add_row({std::to_string(max_queue), std::to_string(kBurst),
-               std::to_string(stats.shed_queue_full), std::to_string(rate)});
+               std::to_string(shed), std::to_string(rate)});
     BenchJson("serve_shed_rate")
         .field("n", std::uint64_t(max_queue))
         .field("offered", std::uint64_t(kBurst))
-        .field("shed", stats.shed_queue_full)
+        .field("shed", shed)
         .field("shed_rate", rate)
         .threads(1)
         .emit();
@@ -175,141 +196,117 @@ void shed_rate_table() {
   t.print(std::cout, "admission control: shed rate vs queue bound");
 }
 
-/// Interleaved churn + temporal queries: the delta planner folds events
-/// into its overlay while the legacy planner rebuilds the contact index
-/// on every epoch change. Same event/query sequence in both modes, so
-/// the served payloads must agree byte-for-byte.
+/// Interleaved churn + temporal queries: the broker folds each round's
+/// events into its delta-maintained contact index instead of rebuilding
+/// it per epoch. A closing probe must equal the same sweep over a
+/// TemporalCsr built fresh from the temporal view.
 void churn_serving_table() {
-  struct Mode {
-    double ns_per_round = 0.0;
-    ServeStats stats;
-    std::vector<TimeUnit> probe;
-  };
   constexpr std::size_t kRounds = 40, kChurn = 60, kQueries = 4;
-  const auto run = [&](bool delta_index) {
-    ServeFixture fx(29);
-    BrokerConfig cfg;
-    cfg.threads = 1;
-    cfg.cache_bytes = 0;  // measure planning + execution, not hits
-    cfg.deterministic = true;
-    cfg.delta_index = delta_index;
-    QueryBroker broker(fx.engine, &fx.view, cfg);
+  constexpr VertexId kProbe = 7;
+  ServeFixture fx(29);
+  BrokerConfig cfg;
+  cfg.threads = 1;
+  cfg.cache_bytes = 0;  // measure planning + execution, not hits
+  QueryBroker broker(fx.engine, &fx.view, cfg);
 
-    Rng rng(5);
-    Mode m;
-    m.ns_per_round =
-        time_ns_per_op(kRounds, [&](std::size_t) {
-          std::vector<Event> batch;
-          batch.reserve(kChurn);
-          for (std::size_t i = 0; i < kChurn; ++i) {
-            const auto u = static_cast<VertexId>(rng.index(kNodes));
-            auto v = static_cast<VertexId>(rng.index(kNodes));
-            if (u == v) v = static_cast<VertexId>((v + 1) % kNodes);
-            const auto t = static_cast<TimeUnit>(rng.index(kHorizon));
-            if (rng.uniform01() < 0.2) {
-              batch.push_back(Event::contact_relabel(
-                  u, v, t, static_cast<TimeUnit>(rng.index(kHorizon))));
-            } else {
-              batch.push_back(Event::contact_add(u, v, t));
-            }
-          }
-          broker.apply_events(batch);
-          std::vector<std::future<QueryResult>> futures;
-          for (std::size_t q = 0; q < kQueries; ++q) {
-            futures.push_back(broker.submit(TemporalDistancesQuery{
-                static_cast<VertexId>(rng.index(kNodes)), 0}));
-          }
-          broker.flush();
-          for (auto& f : futures) f.get();
-        });
-    auto probe = broker.submit(TemporalDistancesQuery{7, 0});
+  Rng rng(5);
+  const double ns_per_round = time_ns_per_op(kRounds, [&](std::size_t) {
+    std::vector<Event> batch;
+    batch.reserve(kChurn);
+    for (std::size_t i = 0; i < kChurn; ++i) {
+      const auto u = static_cast<VertexId>(rng.index(kNodes));
+      auto v = static_cast<VertexId>(rng.index(kNodes));
+      if (u == v) v = static_cast<VertexId>((v + 1) % kNodes);
+      const auto t = static_cast<TimeUnit>(rng.index(kHorizon));
+      if (rng.uniform01() < 0.2) {
+        batch.push_back(Event::contact_relabel(
+            u, v, t, static_cast<TimeUnit>(rng.index(kHorizon))));
+      } else {
+        batch.push_back(Event::contact_add(u, v, t));
+      }
+    }
+    broker.apply_events(batch);
+    std::vector<std::future<QueryResult>> futures;
+    for (std::size_t q = 0; q < kQueries; ++q) {
+      futures.push_back(broker.submit(TemporalDistancesQuery{
+          static_cast<VertexId>(rng.index(kNodes)), 0}));
+    }
     broker.flush();
-    m.probe = std::get<std::vector<TimeUnit>>(probe.get().payload);
-    m.stats = broker.stats();
-    return m;
-  };
+    for (auto& f : futures) f.get();
+  });
+  auto probe = broker.submit(TemporalDistancesQuery{kProbe, 0});
+  broker.flush();
+  TemporalWorkspace ws;
+  csr_earliest_arrival(TemporalCsr(fx.view.view()), kProbe, 0, ws);
+  const bool match = std::get<std::vector<TimeUnit>>(probe.get().payload) ==
+                     ws.to_earliest_arrival().completion;
 
-  const Mode delta = run(true);
-  const Mode legacy = run(false);
-  const bool match = delta.probe == legacy.probe;
-  const double speedup = delta.ns_per_round > 0.0
-                             ? legacy.ns_per_round / delta.ns_per_round
-                             : 0.0;
-  Table t({"planner", "us_per_round", "csr_builds", "csr_delta_appends",
-           "csr_compactions", "results_match"});
-  t.add_row({"legacy", Table::num(legacy.ns_per_round / 1e3, 1),
-             Table::num(legacy.stats.csr_builds),
-             Table::num(legacy.stats.csr_delta_appends),
-             Table::num(legacy.stats.csr_compactions), match ? "yes" : "NO"});
-  t.add_row({"delta", Table::num(delta.ns_per_round / 1e3, 1),
-             Table::num(delta.stats.csr_builds),
-             Table::num(delta.stats.csr_delta_appends),
-             Table::num(delta.stats.csr_compactions), match ? "yes" : "NO"});
-  t.print(std::cout, "churn serving: delta-advance planning vs legacy "
-                     "rebuild-per-epoch (" +
+  const obs::MetricsRegistry::Snapshot m = broker.metrics().snapshot();
+  const std::uint64_t builds = m.counter_value("serve.csr_builds");
+  const std::uint64_t reuses = m.counter_value("serve.csr_reuses");
+  const std::uint64_t appends = m.counter_value("serve.csr_delta_appends");
+  const std::uint64_t compactions = m.counter_value("serve.csr_compactions");
+  Table t({"rounds", "us_per_round", "csr_builds", "csr_reuses",
+           "csr_delta_appends", "csr_compactions", "results_match"});
+  t.add_row({Table::num(std::uint64_t(kRounds)),
+             Table::num(ns_per_round / 1e3, 1), Table::num(builds),
+             Table::num(reuses), Table::num(appends), Table::num(compactions),
+             match ? "yes" : "NO"});
+  t.print(std::cout, "churn serving: delta-advance planning (" +
                          std::to_string(kChurn) + " events + " +
                          std::to_string(kQueries) + " queries per round)");
-  for (const Mode* m : {&delta, &legacy}) {
-    BenchJson("serve_churn")
-        .field("impl", m == &delta ? "delta" : "legacy")
-        .field("n", std::uint64_t(kRounds))
-        .threads(1)
-        .field("ns_per_round", m->ns_per_round)
-        .field("csr_builds", m->stats.csr_builds)
-        .field("csr_reuses", m->stats.csr_reuses)
-        .field("csr_delta_appends", m->stats.csr_delta_appends)
-        .field("csr_compactions", m->stats.csr_compactions)
-        .field("speedup_vs_legacy",
-               m == &delta ? speedup : 1.0)
-        .field("results_match", match ? "yes" : "no")
-        .emit();
-  }
+  BenchJson("serve_churn")
+      .field("n", std::uint64_t(kRounds))
+      .threads(1)
+      .field("ns_per_round", ns_per_round)
+      .field("csr_builds", builds)
+      .field("csr_reuses", reuses)
+      .field("csr_delta_appends", appends)
+      .field("csr_compactions", compactions)
+      .field("results_match", match ? "yes" : "no")
+      .emit();
 }
 
 void lane_pack_table() {
-  // Batched TemporalDistances serving: the scalar planner (one sweep
-  // per query) vs the lane-packing planner (distinct (source, t_start)
-  // queries share 64-lane sweeps). Payloads are cross-checked
-  // bit-identical before timing; sweeps_saved must grow with depth.
+  // Batched TemporalDistances serving: one query per flush (the scalar
+  // path, one sweep per query) vs one flush for the whole queue
+  // (distinct (source, t_start) queries share 64-lane sweeps). Payloads
+  // are cross-checked bit-identical before timing; sweeps_saved must
+  // grow with depth.
   Table t({"queued", "scalar_ns_per_q", "packed_ns_per_q", "speedup",
            "lanes_packed", "sweeps_saved", "results_match"});
   for (const std::size_t count :
        {std::size_t{8}, std::size_t{64}, std::size_t{256}}) {
     const std::vector<Query> queries = distinct_temporal_queries(count);
 
-    ServeFixture fx_scalar, fx_packed;
-    BrokerConfig scalar_cfg;
-    scalar_cfg.threads = 1;
-    scalar_cfg.deterministic = true;
-    scalar_cfg.cache_bytes = 0;  // every drive re-executes
-    scalar_cfg.lane_pack = false;
-    BrokerConfig packed_cfg = scalar_cfg;
-    packed_cfg.lane_pack = true;
-    QueryBroker scalar(fx_scalar.engine, &fx_scalar.view, scalar_cfg);
-    QueryBroker packed(fx_packed.engine, &fx_packed.view, packed_cfg);
+    ServeFixture fx;
+    BrokerConfig cfg;
+    cfg.threads = 1;
+    cfg.cache_bytes = 0;  // every drive re-executes
+    QueryBroker broker(fx.engine, &fx.view, cfg);
 
-    // Bit-identity gate (also warms both brokers' contact indexes).
+    // Bit-identity gate (also warms the broker's contact index).
     bool match = true;
     {
-      std::vector<std::future<QueryResult>> fs, fp;
-      for (const Query& q : queries) {
-        fs.push_back(scalar.submit(q));
-        fp.push_back(packed.submit(q));
-      }
-      while (scalar.queue_depth() > 0) scalar.flush();
-      while (packed.queue_depth() > 0) packed.flush();
+      std::vector<std::future<QueryResult>> fp;
+      for (const Query& q : queries) fp.push_back(broker.submit(q));
+      while (broker.queue_depth() > 0) broker.flush();
       for (std::size_t i = 0; i < count; ++i) {
+        auto fs = broker.submit(queries[i]);
+        broker.flush();
         match = match &&
-                payload_equal(fs[i].get().payload, fp[i].get().payload);
+                payload_equal(fs.get().payload, fp[i].get().payload);
       }
     }
 
-    const ServeStats before = packed.stats();
-    const double scalar_ns = drive(scalar, queries);
-    const double packed_ns = drive(packed, queries);
-    const ServeStats after = packed.stats();
-    const std::uint64_t lanes = after.lanes_packed - before.lanes_packed;
-    const std::uint64_t saved = after.sweeps_saved - before.sweeps_saved;
+    const double scalar_ns = drive_one_by_one(broker, queries);
+    const std::uint64_t lanes_before = counter(broker, "serve.lanes_packed");
+    const std::uint64_t saved_before = counter(broker, "serve.sweeps_saved");
+    const double packed_ns = drive(broker, queries);
+    const std::uint64_t lanes =
+        counter(broker, "serve.lanes_packed") - lanes_before;
+    const std::uint64_t saved =
+        counter(broker, "serve.sweeps_saved") - saved_before;
     const double speedup = packed_ns > 0.0 ? scalar_ns / packed_ns : 0.0;
 
     t.add_row({Table::num(std::uint64_t(count)), Table::num(scalar_ns, 0),
@@ -328,12 +325,12 @@ void lane_pack_table() {
         .emit();
   }
   t.print(std::cout,
-          "lane-packed planner: batched TemporalDistances, scalar vs "
-          "shared 64-lane sweeps");
+          "lane-packed planner: batched TemporalDistances, one-query "
+          "flushes vs shared 64-lane sweeps");
 }
 
-void serve_stats_smoke() {
-  // One mixed run whose ServeStats JSON line lands in the BENCH stream.
+void serve_metrics_smoke() {
+  // One mixed run whose registry lands in the BENCH stream.
   ServeFixture fx;
   QueryBroker broker(fx.engine, &fx.view);
   std::vector<std::future<QueryResult>> futures;
@@ -345,15 +342,15 @@ void serve_stats_smoke() {
     broker.flush();
   }
   for (auto& f : futures) f.get();
-  std::cout << broker.stats().json("serve_stats") << "\n";
+  broker.metrics().emit_json(std::cout, "serve_metrics");
 }
 
 /// `bench_serve --smoke`: one deterministic traced serving run. Installs
 /// a TraceSink, drives a mixed workload at threads=1 (every span lands
 /// on one tid, fully nested admission -> plan -> kernel -> cache),
-/// cross-checks ServeStats against the broker's registry snapshot
-/// value-for-value, and writes the Chrome trace JSON to the path in
-/// $STRUCTNET_TRACE_OUT (when set). Returns a process exit code.
+/// emits the broker's registry as JSON lines, and writes the Chrome
+/// trace JSON to the path in $STRUCTNET_TRACE_OUT (when set). Returns a
+/// process exit code.
 int traced_smoke() {
   obs::TraceSink sink;
   sink.install();
@@ -362,7 +359,6 @@ int traced_smoke() {
     ServeFixture fx;
     BrokerConfig cfg;
     cfg.threads = 1;
-    cfg.deterministic = true;
     QueryBroker broker(fx.engine, &fx.view, cfg);
     std::vector<std::future<QueryResult>> futures;
     for (std::size_t round = 0; round < 3; ++round) {
@@ -374,37 +370,6 @@ int traced_smoke() {
     }
     for (auto& f : futures) f.get();
 
-    const ServeStats stats = broker.stats();
-    const obs::MetricsRegistry::Snapshot snap = broker.metrics().snapshot();
-    const auto check = [&](std::string_view name, std::uint64_t legacy) {
-      const std::uint64_t reg = snap.counter_value(name);
-      if (reg != legacy) {
-        std::cerr << "smoke: registry/" << name << " = " << reg
-                  << " but ServeStats says " << legacy << "\n";
-        rc = 1;
-      }
-    };
-    check("serve.submitted", stats.submitted);
-    check("serve.admitted", stats.admitted);
-    check("serve.shed_queue_full", stats.shed_queue_full);
-    check("serve.rejected_invalid", stats.rejected_invalid);
-    check("serve.timed_out", stats.timed_out);
-    check("serve.executed", stats.executed);
-    check("serve.batches", stats.batches);
-    check("serve.csr_builds", stats.csr_builds);
-    check("serve.csr_reuses", stats.csr_reuses);
-    check("serve.csr_delta_appends", stats.csr_delta_appends);
-    check("serve.csr_compactions", stats.csr_compactions);
-    check("serve.cache.hits", stats.cache_hits);
-    check("serve.cache.misses", stats.cache_misses);
-    check("serve.cache.evictions", stats.cache_evictions);
-    check("serve.cache.invalidations", stats.cache_invalidations);
-    if (static_cast<std::int64_t>(stats.cache_bytes) !=
-        snap.gauge_value("serve.cache.bytes")) {
-      std::cerr << "smoke: cache byte gauge disagrees with ServeStats\n";
-      rc = 1;
-    }
-    std::cout << stats.json("serve_smoke") << "\n";
     broker.metrics().emit_json(std::cout, "serve_smoke");
   }
   obs::TraceSink::uninstall();
@@ -484,7 +449,7 @@ int main(int argc, char** argv) {
   structnet::shed_rate_table();
   structnet::churn_serving_table();
   structnet::lane_pack_table();
-  structnet::serve_stats_smoke();
+  structnet::serve_metrics_smoke();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   structnet::obs::emit_json(std::cout);

@@ -128,8 +128,11 @@ void scale_usage_table() {
     auto frac = [&](int which) {
       return steps[which][b] > 0 ? used[which][b] / steps[which][b] : 0.0;
     };
-    const std::string label =
-        "[" + std::to_string(1 << b) + "," + std::to_string(2 << b) + ")";
+    std::string label = "[";
+    label += std::to_string(1 << b);
+    label += ',';
+    label += std::to_string(2 << b);
+    label += ')';
     t.add_row({label, Table::num(frac(0), 3), Table::num(frac(1), 3),
                Table::num(frac(2), 3)});
   }

@@ -12,29 +12,13 @@
 
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <string_view>
-#include <thread>
 
+#include "parallel/parallel.hpp"
 #include "util/json_line.hpp"
 
 namespace structnet {
-
-/// Default value of the "threads" BENCH JSON field: STRUCTNET_THREADS
-/// from the environment when set, else hardware concurrency — the same
-/// resolution rule as parallel::resolve_threads(0), duplicated here so
-/// every bench binary can stamp its lines without linking the parallel
-/// layer.
-inline std::uint64_t bench_default_threads() {
-  if (const char* env = std::getenv("STRUCTNET_THREADS")) {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0) return parsed;
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
-}
 
 /// Builder for one JSON benchmark line. Field order is insertion order;
 /// `bench` always comes first.
@@ -58,7 +42,7 @@ class BenchJson {
   /// Stamps the uniform "threads" field: the concurrency the measurement
   /// ran at, or (when 0) the default every kernel resolves to.
   BenchJson& threads(std::uint64_t value = 0) {
-    line_.field("threads", value > 0 ? value : bench_default_threads());
+    line_.field("threads", std::uint64_t{resolve_threads(value)});
     return *this;
   }
 

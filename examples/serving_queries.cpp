@@ -6,8 +6,10 @@
 // updates and queries -> serving metrics.
 #include <chrono>
 #include <iostream>
+#include <string_view>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "serve/broker.hpp"
 #include "serve/query.hpp"
 #include "stream/engine.hpp"
@@ -101,23 +103,23 @@ int main() {
   broker.stop();  // drains: every admitted query resolves
   for (auto& f : stream) (void)f.get();
 
-  // Deterministic slice of the metrics surface (batch counts and
-  // latency histograms depend on dispatcher timing; the full picture —
-  // including the bench-JSON line from stats().json() — is one call
-  // away).
-  const ServeStats stats = broker.stats();
+  // Deterministic slice of the broker's metrics registry (batch counts
+  // and latency histograms depend on dispatcher timing; the full
+  // picture, as bench-JSON lines, is one metrics().emit_json() away).
+  const obs::MetricsRegistry::Snapshot m = broker.metrics().snapshot();
+  const auto c = [&](std::string_view name) { return m.counter_value(name); };
   std::cout << "\nserving metrics:\n"
-            << "  submitted=" << stats.submitted
-            << " admitted=" << stats.admitted
-            << " executed=" << stats.executed << "\n"
-            << "  shed=" << stats.shed_queue_full
-            << " invalid=" << stats.rejected_invalid
-            << " timed_out=" << stats.timed_out << "\n"
-            << "  cache: hits=" << stats.cache_hits
-            << " misses=" << stats.cache_misses
-            << " invalidations=" << stats.cache_invalidations
-            << " entries=" << stats.cache_entries << "\n"
-            << "  amortization: csr_builds=" << stats.csr_builds
-            << " graph_builds=" << stats.graph_builds << "\n";
+            << "  submitted=" << c("serve.submitted")
+            << " admitted=" << c("serve.admitted")
+            << " executed=" << c("serve.executed") << "\n"
+            << "  shed=" << c("serve.shed_queue_full")
+            << " invalid=" << c("serve.rejected_invalid")
+            << " timed_out=" << c("serve.timed_out") << "\n"
+            << "  cache: hits=" << c("serve.cache.hits")
+            << " misses=" << c("serve.cache.misses")
+            << " invalidations=" << c("serve.cache.invalidations")
+            << " entries=" << m.gauge_value("serve.cache.entries") << "\n"
+            << "  amortization: csr_builds=" << c("serve.csr_builds")
+            << " graph_builds=" << c("serve.graph_builds") << "\n";
   return 0;
 }

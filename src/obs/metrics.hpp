@@ -19,15 +19,15 @@
 //     may be caught one-apart mid-update). Histogram snapshots preserve
 //     the invariant sum(buckets) >= count (bucket cells are released
 //     before the count), and are exact at quiescence.
-//   * The histogram bucket geometry is shared with the serving layer's
-//     LatencyHistogram (serve/metrics.hpp): bucket i counts values with
+//   * Histogram buckets are powers of two: bucket i counts values with
 //     bit_width == i + 1, i.e. values in [2^i, 2^(i+1)), bucket 0 also
 //     absorbing 0, and the last bucket absorbing everything at or above
 //     2^(kHistogramBuckets-1).
 //
 // With STRUCTNET_OBS=OFF (see src/obs/CMakeLists.txt) the sharding and
 // the tracing layer compile away; counters degrade to single plain
-// atomics so surfaces built on them (ServeStats) stay correct.
+// atomics so the values read through snapshot() (the serving layer's
+// only metrics surface) stay exact.
 #pragma once
 
 #include <array>

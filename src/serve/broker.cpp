@@ -15,24 +15,12 @@ namespace structnet {
 
 namespace {
 
-/// Runs kernel(index) on whichever contact index the planner maintains:
-/// the delta overlay (default) or the legacy per-epoch TemporalCsr. Both
-/// expose the same iteration interface, and the kernels are
-/// bit-identical across the two (see temporal_delta.hpp).
-template <class Kernel>
-decltype(auto) with_index(const DeltaTemporalCsr* delta,
-                          const std::optional<TemporalCsr>& csr,
-                          Kernel&& kernel) {
-  return delta != nullptr ? kernel(*delta) : kernel(*csr);
-}
-
 /// A FastestJourney payload from its departure profile result: one
 /// earliest-arrival sweep from the span-minimal departure materializes
 /// a journey realizing that span — fastest_journey() exactly, minus the
 /// per-call CSR build. Shared by the scalar and the lane-packed path.
-template <class Index>
 QueryPayload fastest_journey_payload(
-    const Index& index, VertexId source, VertexId target,
+    const DeltaTemporalCsr& index, VertexId source, VertexId target,
     const std::optional<std::pair<TimeUnit, TimeUnit>>& departure,
     TemporalWorkspace& ws) {
   if (!departure) return QueryPayload(std::optional<Journey>());
@@ -88,10 +76,7 @@ QueryBroker::Metrics::Metrics(obs::MetricsRegistry& r)
       lanes_packed(r.counter("serve.lanes_packed")),
       sweeps_saved(r.counter("serve.sweeps_saved")),
       fastest_lanes_packed(r.counter("serve.fastest_lanes_packed")),
-      csr_builds(r.counter("serve.csr_builds")),
       csr_reuses(r.counter("serve.csr_reuses")),
-      csr_delta_appends(r.counter("serve.csr_delta_appends")),
-      csr_compactions(r.counter("serve.csr_compactions")),
       graph_builds(r.counter("serve.graph_builds")),
       graph_reuses(r.counter("serve.graph_reuses")),
       update_faults(r.counter("serve.update.faults")),
@@ -120,16 +105,15 @@ QueryBroker::QueryBroker(StreamEngine& engine, TemporalViewObserver* temporal,
               registry_),
       cache_(config.cache_bytes, &registry_, "serve.cache") {
   engine_.attach(this);
-  if (temporal_ != nullptr && config_.delta_index) {
+  if (temporal_ != nullptr) {
     // Attached after the temporal view (which the owner attached before
     // constructing the broker), so attach-time recompute() adopts the
     // view's current state and later events fold behind it. The observer
-    // writes the same registry cells Metrics pinned above
-    // (serve.csr_builds / serve.csr_delta_appends / serve.csr_compactions).
-    delta_obs_.emplace(*temporal_, config_.csr_compact_ratio, &registry_,
-                       "serve");
+    // counts into the broker's registry (serve.csr_builds /
+    // serve.csr_delta_appends / serve.csr_compactions).
+    delta_obs_.emplace(*temporal_, DeltaCsrObserver::kDefaultCompactRatio,
+                       &registry_, "serve");
     engine_.attach(&*delta_obs_);
-    delta_csr_ = &delta_obs_->index();
   }
 }
 
@@ -235,17 +219,13 @@ QueryPayload QueryBroker::execute_payload(const Query& query,
       kKernelSpanName[static_cast<std::size_t>(kind_of(query))]);
   // Per-query kernels run serial (threads = 1): the batch is already
   // sharded across the pool one query per shard, and serial kernels
-  // keep results trivially thread-count-invariant.
-  const auto on_index = [this](auto&& kernel) -> decltype(auto) {
-    return with_index(delta_csr_, csr_, kernel);
-  };
+  // keep results trivially thread-count-invariant. Only temporal kinds
+  // read the contact index, and validate() rejects them without a view.
   return std::visit(
       [&](const auto& q) -> QueryPayload {
         using T = std::decay_t<decltype(q)>;
         if constexpr (std::is_same_v<T, TemporalDistancesQuery>) {
-          on_index([&](const auto& index) {
-            return csr_earliest_arrival(index, q.source, q.t_start, ws);
-          });
+          csr_earliest_arrival(delta_obs_->index(), q.source, q.t_start, ws);
           EarliestArrival ea = ws.to_earliest_arrival();
           return QueryPayload(std::move(ea.completion));
         } else if constexpr (std::is_same_v<T, FastestJourneyQuery>) {
@@ -254,18 +234,14 @@ QueryPayload QueryBroker::execute_payload(const Query& query,
           if (q.source == q.target) {
             return QueryPayload(std::optional<Journey>(Journey{}));
           }
-          return on_index([&](const auto& index) {
-            return fastest_journey_payload(
-                index, q.source, q.target,
-                csr_fastest_departure(index, q.source, q.target, q.t_start,
-                                      ws),
-                ws);
-          });
+          const DeltaTemporalCsr& index = delta_obs_->index();
+          return fastest_journey_payload(
+              index, q.source, q.target,
+              csr_fastest_departure(index, q.source, q.target, q.t_start, ws),
+              ws);
         } else if constexpr (std::is_same_v<T, MinHopJourneyQuery>) {
-          return QueryPayload(on_index([&](const auto& index) {
-            return csr_minimum_hop_journey(index, q.source, q.target,
-                                           q.t_start, ws);
-          }));
+          return QueryPayload(csr_minimum_hop_journey(
+              delta_obs_->index(), q.source, q.target, q.t_start, ws));
         } else if constexpr (std::is_same_v<T, NsfReportQuery>) {
           return QueryPayload(
               nsf_report(*graph_, q.stop_fraction, q.ks_threshold, 1));
@@ -275,8 +251,7 @@ QueryPayload QueryBroker::execute_payload(const Query& query,
             // planner may not have materialized for a temporal-only
             // batch). Internally an all-sources lane-packed sweep;
             // serial like every per-query kernel.
-            return QueryPayload(on_index(
-                [&](const auto& index) { return temporal_closeness(index, 1); }));
+            return QueryPayload(temporal_closeness(delta_obs_->index(), 1));
           }
           switch (q.measure) {
             case CentralityMeasure::kDegree:
@@ -300,11 +275,10 @@ QueryPayload QueryBroker::execute_payload(const Query& query,
           faults.retry = q.retry;
           // The plan phase force-folded the delta for this batch, so the
           // base is the full current index.
-          const TemporalCsr& index =
-              delta_csr_ != nullptr ? delta_csr_->base() : *csr_;
           return QueryPayload(simulate_routing_trials(
-              index, q.source, q.destination, q.t0, make_strategy(q.strategy),
-              q.initial_copies, faults, q.trials, 1));
+              delta_obs_->index().base(), q.source, q.destination, q.t0,
+              make_strategy(q.strategy), q.initial_copies, faults, q.trials,
+              1));
         }
       },
       query);
@@ -367,8 +341,7 @@ std::size_t QueryBroker::flush() {
       metrics_.queue_wait_ns.record(elapsed_ns(p.submitted, gate_now));
       // A deadline that expires exactly at dequeue has no budget left:
       // classify at >= (the old > let a zero-remaining query through).
-      if (!config_.deterministic && p.has_deadline &&
-          gate_now >= p.deadline) {
+      if (p.has_deadline && gate_now >= p.deadline) {
         QueryResult result;
         result.status = QueryStatus::kTimedOut;
         metrics_.timed_out.add();
@@ -416,7 +389,7 @@ std::size_t QueryBroker::flush() {
       need_csr = need_csr || query_is_temporal(p.query);
       need_graph = need_graph || !query_is_temporal(p.query);
       // Routing simulation runs against the full base index, so a batch
-      // carrying one forces the delta planner to fold its overlay.
+      // carrying one forces the planner to fold the delta overlay.
       need_full_csr = need_full_csr ||
                       std::holds_alternative<RoutingTrialsQuery>(p.query);
       exec.push_back(i);
@@ -431,22 +404,12 @@ std::size_t QueryBroker::flush() {
   {
     STRUCTNET_OBS_SPAN("serve.plan");
     if (need_csr) {
-      if (delta_obs_) {
-        // Delta-advance planning: the observer has been folding accepted
-        // contact events all along, so the merged index already sits at
-        // this epoch. Only a fired compaction policy — or a routing
-        // query, which simulates against the full base — pays a rebuild.
-        STRUCTNET_OBS_SPAN("serve.plan.delta_advance");
-        if (!delta_obs_->advance(need_full_csr)) metrics_.csr_reuses.add();
-      } else if (!csr_valid_ || csr_epoch_ != epoch) {
-        STRUCTNET_OBS_SPAN("serve.plan.csr_build");
-        csr_.emplace(temporal_->view());
-        csr_epoch_ = epoch;
-        csr_valid_ = true;
-        metrics_.csr_builds.add();
-      } else {
-        metrics_.csr_reuses.add();
-      }
+      // Delta-advance planning: the observer has been folding accepted
+      // contact events all along, so the merged index already sits at
+      // this epoch. Only a fired compaction policy — or a routing query,
+      // which simulates against the full base — pays a rebuild.
+      STRUCTNET_OBS_SPAN("serve.plan.delta_advance");
+      if (!delta_obs_->advance(need_full_csr)) metrics_.csr_reuses.add();
     }
     if (need_graph) {
       if (!graph_valid_ || graph_epoch_ != epoch) {
@@ -461,9 +424,8 @@ std::size_t QueryBroker::flush() {
     }
   }
 
-  // Phase 2b — lane-pack plan (config.lane_pack): batch misses become
-  // lanes of shared sweeps (temporal/multi_source.hpp) instead of one
-  // scalar sweep each.
+  // Phase 2b — lane-pack plan: batch misses become lanes of shared
+  // sweeps (temporal/multi_source.hpp) instead of one scalar sweep each.
   //   * FastestJourney misses with source != target, in exec order, up
   //     to 64 lanes per block: one shared per-unit union-find sweep
   //     (csr_fastest_departure_batch) per block. Each lane keeps its own
@@ -489,7 +451,7 @@ std::size_t QueryBroker::flush() {
   std::vector<FastestBlock> fastest_blocks;
   std::vector<LaneBlock> lane_blocks;
   std::vector<char> lane_filled(exec.size(), 0);
-  if (config_.lane_pack && !exec.empty()) {
+  if (!exec.empty()) {
     STRUCTNET_OBS_SPAN("serve.plan.lane_pack");
     // Fastest candidates, plus t_start groups in first-appearance order
     // (linear scans: both the group count and the lane count are small
@@ -588,15 +550,14 @@ std::size_t QueryBroker::flush() {
                 // serve.kernel.fastest_journey span times per query.
                 STRUCTNET_OBS_SPAN("serve.kernel.fastest_journey_batch");
                 const FastestBlock& block = fastest_blocks[b];
-                with_index(delta_csr_, csr_, [&](const auto& index) {
-                  const auto departures =
-                      csr_fastest_departure_batch(index, block.lanes, w);
-                  for (std::size_t l = 0; l < block.lanes.size(); ++l) {
-                    payloads[block.exec[l]] = fastest_journey_payload(
-                        index, block.lanes[l].source, block.lanes[l].target,
-                        departures[l], workspaces_[worker]);
-                  }
-                });
+                const DeltaTemporalCsr& index = delta_obs_->index();
+                const auto departures =
+                    csr_fastest_departure_batch(index, block.lanes, w);
+                for (std::size_t l = 0; l < block.lanes.size(); ++l) {
+                  payloads[block.exec[l]] = fastest_journey_payload(
+                      index, block.lanes[l].source, block.lanes[l].target,
+                      departures[l], workspaces_[worker]);
+                }
                 continue;
               }
               const LaneBlock& block = lane_blocks[b - fastest_blocks.size()];
@@ -604,9 +565,8 @@ std::size_t QueryBroker::flush() {
                                                       block.sources.size());
               {
                 STRUCTNET_OBS_SPAN("serve.kernel.temporal_distances_batch");
-                with_index(delta_csr_, csr_, [&](const auto& index) {
-                  csr_earliest_arrival_batch(index, sources, block.t_start, w);
-                });
+                csr_earliest_arrival_batch(delta_obs_->index(), sources,
+                                           block.t_start, w);
               }
               for (std::size_t l = 0; l < block.sources.size(); ++l) {
                 // completion(l) is the exact bytes the scalar kernel's
@@ -645,7 +605,7 @@ std::size_t QueryBroker::flush() {
         std::lock_guard<std::mutex> lk(serve_mu_);
         cache_.insert(exec_fp[i], epoch, payloads[i]);
       }
-      if (!config_.deterministic && p.has_deadline && now >= p.deadline) {
+      if (p.has_deadline && now >= p.deadline) {
         // Finished past the deadline: the caller asked not to wait this
         // long, so the (valid, now cached) payload is dropped.
         QueryResult result;
@@ -672,7 +632,7 @@ std::size_t QueryBroker::flush() {
         std::lock_guard<std::mutex> lk(serve_mu_);
         hit = cache_.lookup(exec_fp[exec_idx], epoch);
       }
-      if (!config_.deterministic && p.has_deadline && now >= p.deadline) {
+      if (p.has_deadline && now >= p.deadline) {
         QueryResult result;
         result.status = QueryStatus::kTimedOut;
         metrics_.timed_out.add();
@@ -831,56 +791,6 @@ void QueryBroker::dispatch_loop() {
 std::size_t QueryBroker::queue_depth() const {
   std::lock_guard<std::mutex> lk(queue_mu_);
   return queue_.size();
-}
-
-ServeStats QueryBroker::stats() const {
-  // Reconstructed from the registry metrics: ServeStats and a registry
-  // snapshot read the same cells, so the two views agree value-for-value.
-  ServeStats out;
-  out.submitted = metrics_.submitted.value();
-  out.admitted = metrics_.admitted.value();
-  out.shed_queue_full = metrics_.shed_queue_full.value();
-  out.rejected_invalid = metrics_.rejected_invalid.value();
-  out.rejected_shutdown = metrics_.rejected_shutdown.value();
-  out.timed_out = metrics_.timed_out.value();
-  out.executed = metrics_.executed.value();
-  out.batches = metrics_.batches.value();
-  out.lanes_packed = metrics_.lanes_packed.value();
-  out.sweeps_saved = metrics_.sweeps_saved.value();
-  out.csr_builds = metrics_.csr_builds.value();
-  out.csr_reuses = metrics_.csr_reuses.value();
-  out.csr_delta_appends = metrics_.csr_delta_appends.value();
-  out.csr_compactions = metrics_.csr_compactions.value();
-  out.graph_builds = metrics_.graph_builds.value();
-  out.graph_reuses = metrics_.graph_reuses.value();
-  out.health = health_.state();
-  out.health_transitions = health_.transitions();
-  out.update_faults = metrics_.update_faults.value();
-  out.update_retries = metrics_.update_retries.value();
-  out.update_failures = metrics_.update_failures.value();
-  out.update_probes = metrics_.update_probes.value();
-  out.rejected_read_only = metrics_.rejected_read_only.value();
-  out.stale_served = metrics_.stale_served.value();
-  {
-    std::lock_guard<std::mutex> lk(serve_mu_);
-    const ResultCache::Stats c = cache_.stats();
-    out.cache_hits = c.hits;
-    out.cache_misses = c.misses;
-    out.cache_evictions = c.evictions;
-    out.cache_invalidations = c.invalidations;
-    out.cache_bytes = c.bytes;
-    out.cache_entries = c.entries;
-  }
-  for (std::size_t k = 0; k < kQueryKindCount; ++k) {
-    out.latency[k] =
-        LatencyHistogram::from_snapshot(metrics_.latency[k]->snapshot());
-  }
-  {
-    std::lock_guard<std::mutex> lk(queue_mu_);
-    out.queue_depth = queue_.size();
-    out.max_queue_depth = max_queue_depth_;
-  }
-  return out;
 }
 
 void QueryBroker::on_event(const DynamicGraph& g, const Event& event,

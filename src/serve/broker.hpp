@@ -1,7 +1,7 @@
 // The query-serving front-end: a QueryBroker accepts typed queries
 // against a StreamEngine-owned graph, batches them, executes batches on
 // the parallel ThreadPool, and resolves futures — with an epoch-keyed
-// result cache, admission control, and a metrics surface.
+// result cache, admission control, and a metrics registry.
 //
 // Dataflow per flush():
 //
@@ -12,8 +12,8 @@
 //                                     hit |   | miss
 //                                         |   v
 //                                         |  batch plan: delta-advance the
-//                                         |  contact index (legacy mode:
-//                                         |  ONE TemporalCsr per epoch)
+//                                         |  contact index (a DeltaCsrObserver
+//                                         |  folds events as they stream in)
 //                                         |  + ONE materialized Graph per
 //                                         |  epoch, shared by the batch
 //                                         |   v
@@ -36,13 +36,13 @@
 //   * Per-query deadlines are wall-clock: an expired query resolves
 //     TimedOut — checked before execution (never starts) and after
 //     (result discarded) — instead of blocking the batch.
-//   * Determinism: with config.deterministic set, a fixed submission
-//     order yields bit-identical results at ANY thread count. Batch
-//     sharding comes from the parallel layer's fixed (range, grain)
-//     split, every kernel behind a query kind is thread-count-invariant,
-//     and cached payloads are the exact bytes an execution would have
-//     produced; deterministic mode additionally disables the only
-//     wall-clock-dependent behavior (deadline shedding).
+//   * Determinism: queries submitted without deadlines give
+//     bit-identical results at ANY thread count. Batch sharding comes
+//     from the parallel layer's fixed (range, grain) split, the batch
+//     plan is a pure function of the batch, every kernel behind a query
+//     kind is thread-count-invariant, and cached payloads are the exact
+//     bytes an execution would have produced. A deadline is the only
+//     wall-clock input a result can depend on.
 //   * Epoch consistency: every query in a batch executes against the
 //     same epoch E (the engine's epoch at flush), and the result says
 //     so. The broker registers itself as a StreamObserver: each
@@ -69,15 +69,12 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/health.hpp"
-#include "serve/metrics.hpp"
 #include "serve/query.hpp"
 #include "serve/result_cache.hpp"
 #include "stream/csr_observer.hpp"
 #include "stream/engine.hpp"
 #include "stream/observers.hpp"
 #include "temporal/multi_source.hpp"
-#include "temporal/temporal_csr.hpp"
-#include "temporal/temporal_delta.hpp"
 
 namespace structnet {
 
@@ -92,31 +89,6 @@ struct BrokerConfig {
   std::size_t threads = 0;
   /// Result-cache byte budget; 0 disables caching entirely.
   std::size_t cache_bytes = std::size_t{64} << 20;
-  /// Disables wall-clock deadline enforcement so a fixed submission
-  /// order yields bit-identical results at any thread count.
-  bool deterministic = false;
-  /// Incremental contact-index maintenance: accepted contact events fold
-  /// into a DeltaTemporalCsr overlay (via a DeltaCsrObserver the broker
-  /// attaches behind the temporal view) and batch planning advances the
-  /// delta instead of rebuilding the TemporalCsr on every epoch change.
-  /// Off = legacy rebuild-on-epoch-change planning.
-  bool delta_index = true;
-  /// Delta/base size ratio beyond which planning folds the overlay into
-  /// a fresh base (see DeltaTemporalCsr::needs_compaction).
-  double csr_compact_ratio = 0.25;
-  /// Lane-packed batch planning (temporal/multi_source.hpp), instead of
-  /// one scalar sweep per query:
-  ///   * TemporalDistances misses sharing a t_start are grouped (up to
-  ///     64 distinct sources each) into ONE multi-source sweep;
-  ///   * FastestJourney misses with source != target are packed, in
-  ///     submission order and whatever their t_starts, up to 64 per
-  ///     block into ONE sweep that builds each time unit's union-find
-  ///     once for all of them; each journey is then materialized by the
-  ///     same earliest-arrival sweep the scalar path runs.
-  /// A lone FastestJourney, singleton distances groups and min-hop
-  /// journeys take the scalar path. Payloads are bit-identical to the
-  /// scalar planner's at any thread count. Off = one sweep per query.
-  bool lane_pack = true;
   /// Clock seam: when set, every wall-clock read (submission stamps,
   /// deadline expiry, latency accounting) goes through this function
   /// instead of steady_clock::now(), so deadline classification is
@@ -209,14 +181,10 @@ class QueryBroker final : public StreamObserver {
   std::size_t queue_depth() const;
   const BrokerConfig& config() const { return config_; }
 
-  /// Consistent snapshot of all serving metrics (includes cache stats
-  /// and queue gauges). Reconstructed from the metrics registry, so it
-  /// matches metrics() value-for-value.
-  ServeStats stats() const;
-
-  /// The broker-owned metrics registry backing every serving counter,
-  /// gauge, and latency histogram (including the result cache's, under
-  /// "serve.cache.*"). Snapshot/emit_json are safe while serving.
+  /// The broker-owned metrics registry: every serving counter, gauge,
+  /// and latency histogram, including the result cache's
+  /// ("serve.cache.*") and the contact index's ("serve.csr_*").
+  /// snapshot() and emit_json() are safe while serving.
   const obs::MetricsRegistry& metrics() const { return registry_; }
 
   // StreamObserver: the engine's epoch/invalidation hook.
@@ -251,10 +219,7 @@ class QueryBroker final : public StreamObserver {
     obs::Counter& lanes_packed;
     obs::Counter& sweeps_saved;
     obs::Counter& fastest_lanes_packed;
-    obs::Counter& csr_builds;
     obs::Counter& csr_reuses;
-    obs::Counter& csr_delta_appends;
-    obs::Counter& csr_compactions;
     obs::Counter& graph_builds;
     obs::Counter& graph_reuses;
     obs::Counter& update_faults;
@@ -295,15 +260,11 @@ class QueryBroker final : public StreamObserver {
 
   // -- executor state: only touched under exec_mu_
   std::mutex exec_mu_;
-  std::optional<TemporalCsr> csr_;        // legacy same-epoch contact index
-  std::uint64_t csr_epoch_ = 0;
-  bool csr_valid_ = false;
-  /// Delta-maintained contact index (config.delta_index): the observer
-  /// folds accepted contact events as they stream in, so planning only
-  /// compacts (never rebuilds per epoch). delta_csr_ aliases its index
-  /// and doubles as the "delta mode on" flag in execute_payload.
+  /// The contact index every temporal kernel reads (engaged iff the
+  /// broker has a temporal view): the observer folds accepted contact
+  /// events as they stream in, so planning only compacts, never
+  /// rebuilds per epoch.
   std::optional<DeltaCsrObserver> delta_obs_;
-  const DeltaTemporalCsr* delta_csr_ = nullptr;
   std::optional<Graph> graph_;            // shared same-epoch static graph
   std::uint64_t graph_epoch_ = 0;
   bool graph_valid_ = false;
@@ -320,7 +281,7 @@ class QueryBroker final : public StreamObserver {
   obs::MetricsRegistry registry_;
   Metrics metrics_;
   /// Update-path health. Transitions happen under exec_mu_; reads are
-  /// lock-free (flush annotations, stats, the dispatcher watchdog).
+  /// lock-free (flush annotations, health(), the dispatcher watchdog).
   HealthMonitor health_;
   mutable std::mutex serve_mu_;
   ResultCache cache_;

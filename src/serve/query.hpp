@@ -109,7 +109,11 @@ struct RoutingTrialsQuery {
   VertexId destination = 0;
   TimeUnit t0 = 0;
   RoutingStrategy strategy = RoutingStrategy::kEpidemic;
-  std::uint32_t initial_copies = 1;
+  /// The source's copy budget, simulate_routing's initial_copies: 0 =
+  /// unbounded (epidemic flooding), 1 = a single copy that is never
+  /// replicated, L >= 2 = the spray-and-wait budget (kSprayAndWait needs
+  /// L >= 2 to spray at all).
+  std::uint32_t initial_copies = 0;
   std::uint32_t trials = 1;
   // Fault knobs (mirror SimulationFaults, minus the plan pointer).
   TimeUnit ttl = kNeverTime;

@@ -12,9 +12,9 @@
 // Accounting contract: stats().bytes/entries always equal a full
 // recount of the live entries (recount() — the regression tests churn
 // overwrites/evictions/invalidations against it). Counters live in an
-// obs::MetricsRegistry (the broker passes its own, so the registry
-// snapshot and ServeStats read the same cells); a cache constructed
-// without a registry owns a private one.
+// obs::MetricsRegistry (the broker passes its own, so the cache's
+// counters appear in the broker's metrics() snapshot); a cache
+// constructed without a registry owns a private one.
 //
 // The cache is not internally synchronized; the broker guards it with
 // its own mutex (lookups/inserts happen under the serve lock).

@@ -33,11 +33,15 @@ namespace structnet {
 
 class DeltaCsrObserver : public StreamObserver {
  public:
+  /// Delta/base size ratio beyond which advance() folds the overlay
+  /// into a fresh base (see DeltaTemporalCsr::needs_compaction).
+  static constexpr double kDefaultCompactRatio = 0.25;
+
   /// `view` must outlive the observer and be attached to the same
   /// engine ahead of it. The index starts empty; attach() (via
   /// recompute()) adopts the view's current state.
   explicit DeltaCsrObserver(const TemporalViewObserver& view,
-                            double compact_ratio = 0.25,
+                            double compact_ratio = kDefaultCompactRatio,
                             obs::MetricsRegistry* registry = nullptr,
                             std::string_view prefix = "temporal");
 

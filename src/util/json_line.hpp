@@ -1,6 +1,6 @@
 // Single-line JSON record writer shared by the bench binaries
-// (bench/bench_util.hpp) and the serving metrics surface
-// (serve/metrics.hpp), so every machine-readable line the project emits
+// (bench/bench_util.hpp) and the metrics registry's emit_json
+// (obs/metrics.hpp), so every machine-readable line the project emits
 // has one spelling: insertion-ordered fields, fixed-notation doubles
 // (no scientific flips), null for non-finite values, and full string
 // escaping. Records are grep-able as lines starting with '{'.

@@ -204,8 +204,11 @@ TEST(ObsRegistryTest, ConcurrentRegistrationAndUpdates) {
       for (int i = 0; i < 2'000; ++i) {
         shared.add();
         if (i % 512 == 0) {
-          reg.counter("t" + std::to_string(t) + "." + std::to_string(i))
-              .add();
+          std::string name = "t";
+          name += std::to_string(t);
+          name += '.';
+          name += std::to_string(i);
+          reg.counter(name).add();
           (void)reg.snapshot();
         }
       }

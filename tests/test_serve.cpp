@@ -7,6 +7,8 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "core/generators.hpp"
 #include "fault/fault_plan.hpp"
 #include "layering/nsf.hpp"
+#include "obs/metrics.hpp"
 #include "serve/broker.hpp"
 #include "serve/query.hpp"
 #include "serve/result_cache.hpp"
@@ -131,6 +134,11 @@ QueryResult run_one(QueryBroker& broker, Query q, SubmitOptions opt = {}) {
   return f.get();
 }
 
+/// One counter of the broker's metrics registry.
+std::uint64_t counter(const QueryBroker& broker, std::string_view name) {
+  return broker.metrics().snapshot().counter_value(name);
+}
+
 TEST(QueryBrokerTest, EachKindMatchesDirectComputation) {
   ServeRig rig;
   BrokerConfig cfg;
@@ -206,15 +214,19 @@ TEST(QueryBrokerTest, EachKindMatchesDirectComputation) {
     faults.loss_probability = 0.2;
     faults.loss_seed = 99;
     const RoutingTrialStats expect = simulate_routing_trials(
-        tg, 0, 7, 0, epidemic_strategy(), 1, faults, 8, 1);
+        tg, 0, 7, 0, epidemic_strategy(), q.initial_copies, faults, 8, 1);
     EXPECT_TRUE(payload_equal(r.payload, QueryPayload(expect)));
   }
 
-  const ServeStats stats = broker.stats();
-  EXPECT_EQ(stats.executed, stats.admitted);
-  EXPECT_EQ(stats.csr_builds, 1u);   // one contact index for all batches
-  EXPECT_EQ(stats.graph_builds, 1u); // one materialization likewise
-  EXPECT_GT(stats.csr_reuses + stats.graph_reuses, 0u);
+  const obs::MetricsRegistry::Snapshot snap = broker.metrics().snapshot();
+  EXPECT_EQ(snap.counter_value("serve.executed"),
+            snap.counter_value("serve.admitted"));
+  // One contact index for all batches, one materialization likewise.
+  EXPECT_EQ(snap.counter_value("serve.csr_builds"), 1u);
+  EXPECT_EQ(snap.counter_value("serve.graph_builds"), 1u);
+  EXPECT_GT(snap.counter_value("serve.csr_reuses") +
+                snap.counter_value("serve.graph_reuses"),
+            0u);
 }
 
 TEST(QueryBrokerTest, CacheHitIsBitIdenticalAndFlagged) {
@@ -229,7 +241,7 @@ TEST(QueryBrokerTest, CacheHitIsBitIdenticalAndFlagged) {
   EXPECT_FALSE(first.from_cache);
   EXPECT_TRUE(second.from_cache);
   EXPECT_TRUE(payload_equal(first.payload, second.payload));
-  EXPECT_EQ(broker.stats().cache_hits, 1u);
+  EXPECT_EQ(counter(broker, "serve.cache.hits"), 1u);
 }
 
 TEST(QueryBrokerTest, EngineAdvanceInvalidatesCache) {
@@ -248,7 +260,7 @@ TEST(QueryBrokerTest, EngineAdvanceInvalidatesCache) {
   ASSERT_EQ(after.status, QueryStatus::kOk);
   EXPECT_FALSE(after.from_cache);
   EXPECT_EQ(after.epoch, rig.engine.graph().epoch());
-  EXPECT_GT(broker.stats().cache_invalidations, 0u);
+  EXPECT_GT(counter(broker, "serve.cache.invalidations"), 0u);
 
   // And the new result reflects the new contact.
   EXPECT_EQ(std::get<std::vector<TimeUnit>>(after.payload),
@@ -281,10 +293,10 @@ TEST(QueryBrokerTest, SaturatedQueueShedsInsteadOfBlocking) {
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(futures[i].get().status, QueryStatus::kOk);
   }
-  const ServeStats stats = broker.stats();
-  EXPECT_EQ(stats.shed_queue_full, 6u);
-  EXPECT_EQ(stats.admitted, 4u);
-  EXPECT_EQ(stats.max_queue_depth, 4u);
+  const obs::MetricsRegistry::Snapshot snap = broker.metrics().snapshot();
+  EXPECT_EQ(snap.counter_value("serve.shed_queue_full"), 6u);
+  EXPECT_EQ(snap.counter_value("serve.admitted"), 4u);
+  EXPECT_EQ(snap.gauge_value("serve.max_queue_depth"), 4);
 }
 
 TEST(QueryBrokerTest, ExpiredDeadlineResolvesTimedOut) {
@@ -297,16 +309,35 @@ TEST(QueryBrokerTest, ExpiredDeadlineResolvesTimedOut) {
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   broker.flush();
   EXPECT_EQ(f.get().status, QueryStatus::kTimedOut);
-  EXPECT_EQ(broker.stats().timed_out, 1u);
+  EXPECT_EQ(counter(broker, "serve.timed_out"), 1u);
+}
 
-  // Deterministic mode ignores the wall clock entirely.
-  BrokerConfig det;
-  det.deterministic = true;
-  QueryBroker dbroker(rig.engine, &rig.view, det);
-  auto g = dbroker.submit(TemporalDistancesQuery{0, 0}, opt);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  dbroker.flush();
-  EXPECT_EQ(g.get().status, QueryStatus::kOk);
+// The destination is reachable only through a relay (0-1 @ t1, then
+// 1-2 @ t2), so direct delivery never arrives. A default routing query
+// is epidemic and must flood: every trial delivers at t = 2.
+TEST(QueryBrokerTest, DefaultRoutingQueryFloodsThroughRelay) {
+  constexpr std::size_t kNodes = 3;
+  StreamEngine engine{DynamicGraph(kNodes)};
+  TemporalViewObserver view(kNodes, /*horizon=*/4);
+  engine.attach(&view);
+  const std::vector<Event> contacts{Event::contact_add(0, 1, 1),
+                                    Event::contact_add(1, 2, 2)};
+  engine.apply_batch(contacts);
+  QueryBroker broker(engine, &view);
+
+  RoutingTrialsQuery q;
+  q.source = 0;
+  q.destination = 2;
+  q.trials = 4;
+  const QueryResult r = run_one(broker, q);
+  ASSERT_EQ(r.status, QueryStatus::kOk);
+  const auto& stats = std::get<RoutingTrialStats>(r.payload);
+  EXPECT_EQ(stats.delivered, 4u);
+  for (const RoutingOutcome& o : stats.outcomes) {
+    EXPECT_TRUE(o.delivered);
+    EXPECT_EQ(o.delivery_time, 2);
+    EXPECT_EQ(o.hops, 2u);
+  }
 }
 
 TEST(QueryBrokerTest, InvalidArgumentsAreRejectedTyped) {
@@ -360,7 +391,7 @@ TEST(QueryBrokerTest, PlanBearingRoutingQueriesBypassCache) {
   EXPECT_FALSE(a.from_cache);
   EXPECT_FALSE(b.from_cache);  // same query, still never cached
   EXPECT_TRUE(payload_equal(a.payload, b.payload));  // but deterministic
-  EXPECT_EQ(broker.stats().cache_hits, 0u);
+  EXPECT_EQ(counter(broker, "serve.cache.hits"), 0u);
 }
 
 TEST(QueryBrokerTest, DispatcherDrainsOnStop) {
@@ -384,21 +415,7 @@ TEST(QueryBrokerTest, DispatcherDrainsOnStop) {
               std::future_status::ready);
     EXPECT_EQ(f.get().status, QueryStatus::kOk);
   }
-  EXPECT_GT(broker.stats().cache_hits, 0u);  // duplicates in the mix
-}
-
-TEST(ServeStatsTest, JsonLineIsMachineReadable) {
-  ServeRig rig;
-  QueryBroker broker(rig.engine, &rig.view);
-  (void)run_one(broker, TemporalDistancesQuery{0, 0});
-  (void)run_one(broker, TemporalDistancesQuery{0, 0});
-
-  const std::string line = broker.stats().json("serve_smoke");
-  EXPECT_EQ(line.front(), '{');
-  EXPECT_EQ(line.back(), '}');
-  EXPECT_NE(line.find("\"bench\": \"serve_smoke\""), std::string::npos);
-  EXPECT_NE(line.find("\"cache_hits\": 1"), std::string::npos);
-  EXPECT_NE(line.find("temporal_distances_count"), std::string::npos);
+  EXPECT_GT(counter(broker, "serve.cache.hits"), 0u);  // duplicates
 }
 
 // -------------------------------------------------------------- churn
@@ -409,11 +426,10 @@ TEST(ServeStatsTest, JsonLineIsMachineReadable) {
 /// identical across thread counts 1 / 2 / 8.
 struct ChurnRun {
   std::vector<QueryPayload> payloads;
-  ServeStats stats;
-  std::uint64_t fastest_lanes_packed = 0;
+  obs::MetricsRegistry::Snapshot metrics;
 };
 
-ChurnRun churn_run(std::size_t threads, bool delta_index = true) {
+ChurnRun churn_run(std::size_t threads) {
   constexpr std::size_t kNodes = 32;
   constexpr TimeUnit kHorizon = 20;
   StreamEngine engine{DynamicGraph(kNodes)};
@@ -422,8 +438,6 @@ ChurnRun churn_run(std::size_t threads, bool delta_index = true) {
 
   BrokerConfig cfg;
   cfg.threads = threads;
-  cfg.deterministic = true;
-  cfg.delta_index = delta_index;
   QueryBroker broker(engine, &view, cfg);
 
   Rng rng(2024);
@@ -506,9 +520,9 @@ ChurnRun churn_run(std::size_t threads, bool delta_index = true) {
               SimulationFaults faults;
               faults.loss_probability = q.loss_probability;
               faults.loss_seed = q.loss_seed;
-              return simulate_routing_trials(tg, q.source, q.destination,
-                                             q.t0, epidemic_strategy(), 1,
-                                             faults, q.trials, 1);
+              return simulate_routing_trials(
+                  tg, q.source, q.destination, q.t0, epidemic_strategy(),
+                  q.initial_copies, faults, q.trials, 1);
             }
           },
           queries[i]);
@@ -517,17 +531,26 @@ ChurnRun churn_run(std::size_t threads, bool delta_index = true) {
       run.payloads.push_back(std::move(r.payload));
     }
   }
-  run.stats = broker.stats();
-  run.fastest_lanes_packed = broker.metrics().snapshot().counter_value(
-      "serve.fastest_lanes_packed");
+  run.metrics = broker.metrics().snapshot();
   return run;
 }
 
 TEST(ServeChurnTest, ServedEqualsFreshRecomputeAtAnyThreadCount) {
   const ChurnRun serial = churn_run(1);
-  EXPECT_GT(serial.stats.cache_hits, 0u);  // the duplicate query hits
-  EXPECT_GT(serial.stats.executed, 0u);
-  EXPECT_GT(serial.fastest_lanes_packed, 0u);  // journeys were lane-packed
+  const auto serial_count = [&](std::string_view name) {
+    return serial.metrics.counter_value(name);
+  };
+  EXPECT_GT(serial_count("serve.cache.hits"), 0u);  // the duplicate hits
+  EXPECT_GT(serial_count("serve.executed"), 0u);
+  // Journeys were lane-packed.
+  EXPECT_GT(serial_count("serve.fastest_lanes_packed"), 0u);
+  // The delta planner folded the churn and compacted at least once, so
+  // the fresh-recompute identity above held across compactions; every
+  // base build past the attach-time one was a compaction.
+  EXPECT_GT(serial_count("serve.csr_delta_appends"), 0u);
+  EXPECT_GE(serial_count("serve.csr_compactions"), 1u);
+  EXPECT_EQ(serial_count("serve.csr_builds"),
+            1u + serial_count("serve.csr_compactions"));
 
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
     const ChurnRun parallel_run = churn_run(threads);
@@ -537,9 +560,12 @@ TEST(ServeChurnTest, ServedEqualsFreshRecomputeAtAnyThreadCount) {
           payload_equal(serial.payloads[i], parallel_run.payloads[i]))
           << "payload " << i << " differs at threads=" << threads;
     }
-    EXPECT_EQ(parallel_run.stats.cache_hits, serial.stats.cache_hits);
-    EXPECT_EQ(parallel_run.stats.executed, serial.stats.executed);
-    EXPECT_EQ(parallel_run.fastest_lanes_packed, serial.fastest_lanes_packed);
+    for (const std::string_view name :
+         {"serve.cache.hits", "serve.executed", "serve.fastest_lanes_packed",
+          "serve.csr_builds", "serve.csr_compactions"}) {
+      EXPECT_EQ(parallel_run.metrics.counter_value(name), serial_count(name))
+          << name << " at threads=" << threads;
+    }
   }
 }
 
@@ -608,13 +634,16 @@ TEST(ResultCacheTest, ChurnKeepsByteAccountingExact) {
     if (roll < 0.55) {
       // Insert / overwrite under a handful of keys so overwrites with a
       // different payload size happen constantly.
-      const std::string key = "k" + std::to_string(rng.index(6));
+      std::string key = "k";
+      key += std::to_string(rng.index(6));
       std::vector<TimeUnit> payload(rng.index(40));
       for (TimeUnit& t : payload) t = static_cast<TimeUnit>(rng.index(100));
       cache.insert(key, epoch, QueryPayload(std::move(payload)));
       assert_exact("insert", step);
     } else if (roll < 0.75) {
-      (void)cache.lookup("k" + std::to_string(rng.index(8)), epoch);
+      std::string key = "k";
+      key += std::to_string(rng.index(8));
+      (void)cache.lookup(key, epoch);
       assert_exact("lookup", step);
     } else if (roll < 0.92) {
       ++epoch;
@@ -630,51 +659,6 @@ TEST(ResultCacheTest, ChurnKeepsByteAccountingExact) {
   EXPECT_EQ(cache.stats().bytes, 0u);
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.recount().bytes, 0u);
-}
-
-TEST(LatencyHistogramTest, PercentileEdgeCases) {
-  // Empty: every quantile is 0.
-  LatencyHistogram empty;
-  EXPECT_EQ(empty.quantile_upper_ns(0.99), 0u);
-  EXPECT_EQ(empty.quantile_upper_ns(0.0), 0u);
-  EXPECT_DOUBLE_EQ(empty.mean_ns(), 0.0);
-
-  // Single sample: every quantile bounds it tightly (max-tightened).
-  LatencyHistogram one;
-  one.add(777);
-  EXPECT_EQ(one.quantile_upper_ns(0.0), 777u);
-  EXPECT_EQ(one.quantile_upper_ns(0.99), 777u);
-  EXPECT_EQ(one.quantile_upper_ns(1.0), 777u);
-
-  // p99 of exactly 100 samples is the 99th order statistic, not the
-  // 100th (the legacy floor-rank off-by-one): 99 small samples in
-  // [16, 32) and one huge outlier must keep p99 at the small bucket.
-  LatencyHistogram hundred;
-  for (int i = 0; i < 99; ++i) hundred.add(20);
-  hundred.add(1'000'000);
-  ASSERT_EQ(hundred.count(), 100u);
-  EXPECT_LE(hundred.quantile_upper_ns(0.99), 32u);
-  EXPECT_EQ(hundred.quantile_upper_ns(1.0), 1'000'000u);
-
-  // Samples at/above 2^39 clamp into the last bucket but are never
-  // dropped, and quantiles landing there report the recorded max (the
-  // bucket edge would lie low).
-  LatencyHistogram sat;
-  const std::uint64_t huge = (std::uint64_t{1} << 62) + 5;
-  sat.add(huge);
-  sat.add(huge);
-  EXPECT_EQ(sat.count(), 2u);
-  EXPECT_EQ(sat.max_ns(), huge);
-  EXPECT_EQ(sat.quantile_upper_ns(0.5), huge);
-  EXPECT_EQ(sat.quantile_upper_ns(0.99), huge);
-
-  // Bucket-boundary off-by-one: 2^k lands in bucket k, so a quantile
-  // resolving to that bucket is bounded by 2^(k+1), not 2^k.
-  LatencyHistogram edge;
-  edge.add(16);  // bucket 4: [16, 32)
-  EXPECT_EQ(edge.quantile_upper_ns(1.0), 16u);  // tightened by max
-  edge.add(31);
-  EXPECT_EQ(edge.quantile_upper_ns(1.0), 31u);  // still inside bucket 4
 }
 
 // ------------------------------------------------- deterministic clock
@@ -708,7 +692,7 @@ TEST(QueryBrokerTest, DeadlineExpiringExactlyAtDequeueTimesOut) {
   g_fake_now_ns.store(1099);  // now < deadline (1100)
   broker.flush();
   EXPECT_EQ(alive.get().status, QueryStatus::kOk);
-  EXPECT_EQ(broker.stats().timed_out, 1u);
+  EXPECT_EQ(counter(broker, "serve.timed_out"), 1u);
 }
 
 TEST(QueryBrokerTest, BackwardsClockYieldsZeroLatencyNotUnderflow) {
@@ -725,24 +709,28 @@ TEST(QueryBrokerTest, BackwardsClockYieldsZeroLatencyNotUnderflow) {
   broker.flush();
   EXPECT_EQ(f.get().status, QueryStatus::kOk);
 
-  const ServeStats stats = broker.stats();
-  const LatencyHistogram& h =
-      stats.latency[static_cast<std::size_t>(QueryKind::kTemporalDistances)];
-  ASSERT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.max_ns(), 0u);
-  EXPECT_DOUBLE_EQ(h.mean_ns(), 0.0);
+  const obs::MetricsRegistry::Snapshot snap = broker.metrics().snapshot();
+  const obs::HistogramSnapshot* h =
+      snap.histogram_snapshot("serve.latency.temporal_distances");
+  ASSERT_NE(h, nullptr);
+  ASSERT_EQ(h->count, 1u);
+  EXPECT_EQ(h->max, 0u);
+  EXPECT_DOUBLE_EQ(h->mean(), 0.0);
 }
 
-// ------------------------------------------- registry / legacy surface
+// ------------------------------------------------- registry surface
 
-TEST(QueryBrokerTest, StatsMatchesRegistrySnapshotBitForBit) {
+TEST(QueryBrokerTest, RegistryCountsExactAdmissionTraffic) {
   ServeRig rig;
   BrokerConfig cfg;
   cfg.threads = 1;
-  cfg.deterministic = true;
   cfg.max_queue = 4;  // force shedding
   QueryBroker broker(rig.engine, &rig.view, cfg);
 
+  // 3 rounds of 9 submissions into a queue of 4: one invalid query and
+  // sources {0, 1, 2} are admitted, the other 5 shed. Round 1 misses
+  // (one 3-lane sweep), rounds 2 and 3 hit the cache at the same epoch;
+  // each round's second flush finds the queue empty.
   std::vector<std::future<QueryResult>> futures;
   for (std::size_t round = 0; round < 3; ++round) {
     futures.push_back(
@@ -754,52 +742,50 @@ TEST(QueryBrokerTest, StatsMatchesRegistrySnapshotBitForBit) {
     broker.flush();
     broker.flush();
   }
-  for (auto& f : futures) f.get();
+  std::size_t cached_bytes = 0;
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const QueryResult r = futures[i].get();
+    if (i >= 1 && i <= 3) cached_bytes += payload_bytes(r.payload);
+  }
 
-  const ServeStats stats = broker.stats();
   const obs::MetricsRegistry::Snapshot snap = broker.metrics().snapshot();
-  EXPECT_EQ(stats.submitted, snap.counter_value("serve.submitted"));
-  EXPECT_EQ(stats.admitted, snap.counter_value("serve.admitted"));
-  EXPECT_EQ(stats.shed_queue_full,
-            snap.counter_value("serve.shed_queue_full"));
-  EXPECT_EQ(stats.rejected_invalid,
-            snap.counter_value("serve.rejected_invalid"));
-  EXPECT_EQ(stats.timed_out, snap.counter_value("serve.timed_out"));
-  EXPECT_EQ(stats.executed, snap.counter_value("serve.executed"));
-  EXPECT_EQ(stats.batches, snap.counter_value("serve.batches"));
-  EXPECT_EQ(stats.csr_builds, snap.counter_value("serve.csr_builds"));
-  EXPECT_EQ(stats.csr_reuses, snap.counter_value("serve.csr_reuses"));
-  EXPECT_EQ(stats.csr_delta_appends,
-            snap.counter_value("serve.csr_delta_appends"));
-  EXPECT_EQ(stats.csr_compactions,
-            snap.counter_value("serve.csr_compactions"));
-  EXPECT_EQ(stats.cache_hits, snap.counter_value("serve.cache.hits"));
-  EXPECT_EQ(stats.cache_misses, snap.counter_value("serve.cache.misses"));
-  EXPECT_EQ(stats.cache_evictions,
-            snap.counter_value("serve.cache.evictions"));
-  EXPECT_EQ(stats.cache_invalidations,
-            snap.counter_value("serve.cache.invalidations"));
-  EXPECT_EQ(static_cast<std::int64_t>(stats.cache_bytes),
-            snap.gauge_value("serve.cache.bytes"));
-  EXPECT_EQ(static_cast<std::int64_t>(stats.cache_entries),
-            snap.gauge_value("serve.cache.entries"));
-  EXPECT_EQ(static_cast<std::int64_t>(stats.max_queue_depth),
-            snap.gauge_value("serve.max_queue_depth"));
+  EXPECT_EQ(snap.counter_value("serve.submitted"), 27u);
+  EXPECT_EQ(snap.counter_value("serve.admitted"), 12u);
+  EXPECT_EQ(snap.counter_value("serve.shed_queue_full"), 15u);
+  EXPECT_EQ(snap.counter_value("serve.rejected_invalid"), 3u);
+  EXPECT_EQ(snap.counter_value("serve.timed_out"), 0u);
+  EXPECT_EQ(snap.counter_value("serve.executed"), 3u);
+  EXPECT_EQ(snap.counter_value("serve.batches"), 3u);
+  EXPECT_EQ(snap.counter_value("serve.lanes_packed"), 3u);
+  EXPECT_EQ(snap.counter_value("serve.sweeps_saved"), 2u);
+  EXPECT_EQ(snap.counter_value("serve.csr_builds"), 1u);  // attach-time
+  EXPECT_EQ(snap.counter_value("serve.csr_reuses"), 1u);
+  EXPECT_EQ(snap.counter_value("serve.csr_delta_appends"), 0u);
+  EXPECT_EQ(snap.counter_value("serve.csr_compactions"), 0u);
+  EXPECT_EQ(snap.counter_value("serve.cache.hits"), 6u);
+  EXPECT_EQ(snap.counter_value("serve.cache.misses"), 3u);
+  EXPECT_EQ(snap.counter_value("serve.cache.evictions"), 0u);
+  EXPECT_EQ(snap.counter_value("serve.cache.invalidations"), 0u);
+  EXPECT_EQ(snap.gauge_value("serve.cache.entries"), 3);
+  EXPECT_EQ(snap.gauge_value("serve.cache.bytes"),
+            static_cast<std::int64_t>(cached_bytes));
+  EXPECT_EQ(snap.gauge_value("serve.queue_depth"), 0);
+  EXPECT_EQ(snap.gauge_value("serve.max_queue_depth"), 4);
 
-  // Latency histograms reconstruct from the same registry cells.
+  // Every dequeued query waited; only Ok results record a latency.
+  const obs::HistogramSnapshot* wait =
+      snap.histogram_snapshot("serve.queue_wait_ns");
+  ASSERT_NE(wait, nullptr);
+  EXPECT_EQ(wait->count, 12u);
   const obs::HistogramSnapshot* lat =
       snap.histogram_snapshot("serve.latency.temporal_distances");
   ASSERT_NE(lat, nullptr);
-  const LatencyHistogram& h =
-      stats.latency[static_cast<std::size_t>(QueryKind::kTemporalDistances)];
-  EXPECT_EQ(h.count(), lat->count);
-  EXPECT_EQ(h.max_ns(), lat->max);
-  EXPECT_EQ(h.buckets(), lat->buckets);
+  EXPECT_EQ(lat->count, 9u);
 
-  // There was real traffic behind the equalities.
-  EXPECT_GT(stats.shed_queue_full, 0u);
-  EXPECT_GT(stats.rejected_invalid, 0u);
-  EXPECT_GT(stats.cache_hits, 0u);
+  // There was real traffic behind the counts.
+  EXPECT_GT(snap.counter_value("serve.shed_queue_full"), 0u);
+  EXPECT_GT(snap.counter_value("serve.rejected_invalid"), 0u);
+  EXPECT_GT(snap.counter_value("serve.cache.hits"), 0u);
 }
 
 // The executor's per-worker TemporalWorkspaces persist across batches;
@@ -809,7 +795,6 @@ TEST(QueryBrokerTest, WorkspaceRebindsAfterVertexGrowthBetweenBatches) {
   ServeRig rig;
   BrokerConfig cfg;
   cfg.threads = 2;
-  cfg.deterministic = true;
   QueryBroker broker(rig.engine, &rig.view, cfg);
 
   // Batch 1 binds every worker workspace to the current vertex count.
@@ -837,29 +822,6 @@ TEST(QueryBrokerTest, WorkspaceRebindsAfterVertexGrowthBetweenBatches) {
   ASSERT_EQ(r2.status, QueryStatus::kOk);
   EXPECT_EQ(std::get<std::optional<Journey>>(r2.payload),
             fastest_journey(rig.view.view(), 0, fresh_v, 0));
-}
-
-// Delta-advance planning must be indistinguishable from legacy
-// rebuild-on-epoch-change planning in every served byte — only the
-// amortization counters may differ, and they differ in the delta
-// planner's favor.
-TEST(ServeChurnTest, DeltaPlannerMatchesLegacyRebuildBitForBit) {
-  const ChurnRun delta = churn_run(1, /*delta_index=*/true);
-  const ChurnRun legacy = churn_run(1, /*delta_index=*/false);
-  ASSERT_EQ(delta.payloads.size(), legacy.payloads.size());
-  for (std::size_t i = 0; i < delta.payloads.size(); ++i) {
-    EXPECT_TRUE(payload_equal(delta.payloads[i], legacy.payloads[i]))
-        << "payload " << i;
-  }
-
-  // Counter shape: the legacy planner rebuilds on every epoch change;
-  // the delta planner pays one attach-time build plus compactions while
-  // the fold counter absorbs the churn.
-  EXPECT_EQ(legacy.stats.csr_delta_appends, 0u);
-  EXPECT_EQ(legacy.stats.csr_compactions, 0u);
-  EXPECT_GT(delta.stats.csr_delta_appends, 0u);
-  EXPECT_EQ(delta.stats.csr_builds, 1u + delta.stats.csr_compactions);
-  EXPECT_LT(delta.stats.csr_builds, legacy.stats.csr_builds);
 }
 
 // --------------------------------------------- self-healing update path
@@ -949,11 +911,11 @@ TEST(QueryBrokerTest, TransientUpdateFaultRetriesWithBackoffThenApplies) {
   EXPECT_EQ(broker.health(), HealthState::kHealthy);
   EXPECT_EQ(g_slept_ns.load(), 1000 + 2000);  // base, then base*factor
 
-  const ServeStats stats = broker.stats();
-  EXPECT_EQ(stats.update_faults, 2u);
-  EXPECT_EQ(stats.update_retries, 2u);
-  EXPECT_EQ(stats.update_failures, 0u);
-  EXPECT_EQ(stats.health_transitions, 0u);
+  const obs::MetricsRegistry::Snapshot snap = broker.metrics().snapshot();
+  EXPECT_EQ(snap.counter_value("serve.update.faults"), 2u);
+  EXPECT_EQ(snap.counter_value("serve.update.retries"), 2u);
+  EXPECT_EQ(snap.counter_value("serve.update.failures"), 0u);
+  EXPECT_EQ(snap.counter_value("serve.health.transitions"), 0u);
 }
 
 TEST(QueryBrokerTest, PersistentFaultTripsCircuitServesStaleThenHeals) {
@@ -983,7 +945,7 @@ TEST(QueryBrokerTest, PersistentFaultTripsCircuitServesStaleThenHeals) {
   // touching the fault seam (no retry burn).
   g_fake_now_ns.store(500);
   EXPECT_EQ(broker.apply_events({&e, 1}), 0u);
-  EXPECT_EQ(broker.stats().rejected_read_only, 1u);
+  EXPECT_EQ(counter(broker, "serve.update.rejected_read_only"), 1u);
 
   // Queries keep serving the last good epoch, annotated stale.
   const auto stale = run_one(broker, TemporalDistancesQuery{2, 0});
@@ -993,7 +955,7 @@ TEST(QueryBrokerTest, PersistentFaultTripsCircuitServesStaleThenHeals) {
   EXPECT_EQ(stale.health, HealthState::kReadOnly);
   EXPECT_EQ(std::get<std::vector<TimeUnit>>(stale.payload),
             earliest_arrival(rig.view.view(), 2, 0).completion);
-  EXPECT_GE(broker.stats().stale_served, 1u);
+  EXPECT_GE(counter(broker, "serve.stale_served"), 1u);
 
   // Backoff elapsed but the fault persists: the update doubles as the
   // probe, fails, and re-opens the circuit (backoff re-armed).
@@ -1002,7 +964,7 @@ TEST(QueryBrokerTest, PersistentFaultTripsCircuitServesStaleThenHeals) {
   EXPECT_EQ(broker.health(), HealthState::kReadOnly);
   g_fake_now_ns.store(2500);  // 500ns since the re-arm: not due yet
   EXPECT_EQ(broker.apply_events({&e, 1}), 0u);
-  EXPECT_EQ(broker.stats().rejected_read_only, 2u);
+  EXPECT_EQ(counter(broker, "serve.update.rejected_read_only"), 2u);
 
   // Fault clears, backoff elapses: probe succeeds, the update applies,
   // and the broker returns to Healthy — results lose the stale mark.
@@ -1018,14 +980,12 @@ TEST(QueryBrokerTest, PersistentFaultTripsCircuitServesStaleThenHeals) {
   EXPECT_EQ(fresh.epoch, good_epoch + 1);
 
   // The whole episode is visible in the metrics registry.
-  const ServeStats stats = broker.stats();
-  EXPECT_EQ(stats.update_failures, 3u);  // two trips + one failed probe
-  EXPECT_EQ(stats.update_probes, 2u);    // failed + successful
-  // H->D, D->RO, RO->Rec, Rec->RO, RO->Rec, Rec->H.
-  EXPECT_EQ(stats.health_transitions, 6u);
   const obs::MetricsRegistry::Snapshot snap = broker.metrics().snapshot();
+  // H->D, D->RO, RO->Rec, Rec->RO, RO->Rec, Rec->H.
   EXPECT_EQ(snap.counter_value("serve.health.transitions"), 6u);
+  // Two trips + one failed probe; probes: failed + successful.
   EXPECT_EQ(snap.counter_value("serve.update.failures"), 3u);
+  EXPECT_EQ(snap.counter_value("serve.update.probes"), 2u);
   EXPECT_EQ(snap.counter_value("serve.update.rejected_read_only"), 2u);
   EXPECT_EQ(snap.gauge_value("serve.health.state"),
             static_cast<std::int64_t>(HealthState::kHealthy));
@@ -1086,7 +1046,7 @@ TEST(QueryBrokerTest, WatchdogHealsCircuitWithoutTraffic) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(broker.health(), HealthState::kHealthy);
-  EXPECT_GE(broker.stats().update_probes, 1u);
+  EXPECT_GE(counter(broker, "serve.update.probes"), 1u);
   broker.stop();
   EXPECT_EQ(broker.apply_events({&e, 1}), 1u);  // path really works again
 }
@@ -1152,11 +1112,13 @@ TEST(QueryBrokerTest, StopRacingApplyEventsDrainsCleanly) {
   }
 }
 
-/// One flush of the same mixed batch on a broker with the given
-/// lane-pack setting; cache off so duplicates stay in the execution
-/// list (exercising lane sharing instead of the cache dedup).
-std::vector<QueryResult> lane_pack_run(bool lane_pack, std::size_t threads,
-                                       ServeStats* stats_out = nullptr) {
+/// The same mixed queries, flushed as one batch (lane-packed) or one
+/// query per flush (a one-query batch shares no sweep, so every query
+/// takes the scalar path); cache off so duplicates stay in the
+/// execution list (exercising lane sharing instead of the cache dedup).
+std::vector<QueryResult> lane_pack_run(
+    bool one_query_flushes, std::size_t threads,
+    obs::MetricsRegistry::Snapshot* metrics_out = nullptr) {
   ServeRig rig(404);
   // A contact-free newcomer: fastest journeys to it are unreachable.
   const std::vector<Event> growth{Event::node_join()};
@@ -1164,14 +1126,13 @@ std::vector<QueryResult> lane_pack_run(bool lane_pack, std::size_t threads,
   const auto isolated = static_cast<VertexId>(ServeRig::kNodes);
   BrokerConfig cfg;
   cfg.threads = threads;
-  cfg.deterministic = true;
   cfg.cache_bytes = 0;
-  cfg.lane_pack = lane_pack;
   QueryBroker broker(rig.engine, &rig.view, cfg);
 
   std::vector<std::future<QueryResult>> futures;
   const auto submit = [&](Query q) {
     futures.push_back(broker.submit(std::move(q)));
+    if (one_query_flushes) broker.flush();
   };
   // Mixed kinds, duplicate (source, t_start) pairs, several t_starts —
   // all in one batch so the lane-pack plan sees everything at once.
@@ -1197,16 +1158,16 @@ std::vector<QueryResult> lane_pack_run(bool lane_pack, std::size_t threads,
 
   std::vector<QueryResult> results;
   for (auto& f : futures) results.push_back(f.get());
-  if (stats_out != nullptr) *stats_out = broker.stats();
+  if (metrics_out != nullptr) *metrics_out = broker.metrics().snapshot();
   return results;
 }
 
 TEST(QueryBrokerLanePack, PackedPayloadsByteIdenticalToScalarPlanner) {
   for (const std::size_t threads :
        {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    ServeStats packed_stats, scalar_stats;
-    const auto packed = lane_pack_run(true, threads, &packed_stats);
-    const auto scalar = lane_pack_run(false, threads, &scalar_stats);
+    obs::MetricsRegistry::Snapshot packed_metrics, scalar_metrics;
+    const auto packed = lane_pack_run(false, threads, &packed_metrics);
+    const auto scalar = lane_pack_run(true, threads, &scalar_metrics);
     ASSERT_EQ(packed.size(), scalar.size());
     std::size_t journeys = 0, unreachable = 0;
     for (std::size_t i = 0; i < packed.size(); ++i) {
@@ -1227,10 +1188,12 @@ TEST(QueryBrokerLanePack, PackedPayloadsByteIdenticalToScalarPlanner) {
     // really came back empty.
     EXPECT_GE(journeys, 3u);
     EXPECT_GE(unreachable, 1u);
-    EXPECT_GT(packed_stats.lanes_packed, 0u);
-    EXPECT_GT(packed_stats.sweeps_saved, 0u);
-    EXPECT_EQ(scalar_stats.lanes_packed, 0u);
-    EXPECT_EQ(scalar_stats.sweeps_saved, 0u);
+    EXPECT_GT(packed_metrics.counter_value("serve.lanes_packed"), 0u);
+    EXPECT_GT(packed_metrics.counter_value("serve.sweeps_saved"), 0u);
+    EXPECT_GT(packed_metrics.counter_value("serve.fastest_lanes_packed"), 0u);
+    EXPECT_EQ(scalar_metrics.counter_value("serve.lanes_packed"), 0u);
+    EXPECT_EQ(scalar_metrics.counter_value("serve.sweeps_saved"), 0u);
+    EXPECT_EQ(scalar_metrics.counter_value("serve.fastest_lanes_packed"), 0u);
   }
 }
 
@@ -1238,7 +1201,6 @@ TEST(QueryBrokerLanePack, CountersReflectExactPlan) {
   ServeRig rig(11);
   BrokerConfig cfg;
   cfg.threads = 1;
-  cfg.deterministic = true;
   cfg.cache_bytes = 0;
   QueryBroker broker(rig.engine, &rig.view, cfg);
 
@@ -1262,14 +1224,13 @@ TEST(QueryBrokerLanePack, CountersReflectExactPlan) {
   for (auto& f : futures) EXPECT_EQ(f.get().status, QueryStatus::kOk);
 
   const auto fastest_packed = [&] {
-    return broker.metrics().snapshot().counter_value(
-        "serve.fastest_lanes_packed");
+    return counter(broker, "serve.fastest_lanes_packed");
   };
-  const ServeStats stats = broker.stats();
-  EXPECT_EQ(stats.lanes_packed, 5u);   // 3 + 2 distinct (source, t) lanes
-  EXPECT_EQ(stats.sweeps_saved, 4u);   // 6 packed queries - 2 sweeps
-  EXPECT_EQ(fastest_packed(), 3u);     // distances counters exclude them
-  EXPECT_EQ(stats.executed, 11u);
+  // 3 + 2 distinct (source, t) lanes; 6 packed queries - 2 sweeps.
+  EXPECT_EQ(counter(broker, "serve.lanes_packed"), 5u);
+  EXPECT_EQ(counter(broker, "serve.sweeps_saved"), 4u);
+  EXPECT_EQ(fastest_packed(), 3u);  // distances counters exclude them
+  EXPECT_EQ(counter(broker, "serve.executed"), 11u);
 
   // A lone FastestJourney miss (next to a source == target one) stays
   // on the scalar path.
@@ -1279,14 +1240,13 @@ TEST(QueryBrokerLanePack, CountersReflectExactPlan) {
   broker.flush();
   for (auto& f : lone) EXPECT_EQ(f.get().status, QueryStatus::kOk);
   EXPECT_EQ(fastest_packed(), 3u);
-  EXPECT_EQ(broker.stats().executed, 13u);
+  EXPECT_EQ(counter(broker, "serve.executed"), 13u);
 }
 
 TEST(QueryBrokerLanePack, TemporalClosenessServedMatchesDirect) {
   ServeRig rig(13);
   BrokerConfig cfg;
   cfg.threads = 1;
-  cfg.deterministic = true;
   QueryBroker broker(rig.engine, &rig.view, cfg);
   const QueryResult r =
       run_one(broker, CentralityQuery{CentralityMeasure::kTemporalCloseness});
