@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Tier-1 verify plus the whole test suite under ASan/UBSan, under TSan
 # and with the obs layer compiled out, then the Release bench smoke and
-# its gates. Every build compiles with -Werror (CMakeLists.txt).
+# its gates, then the perfbench self-test. Every build compiles with
+# -Werror (CMakeLists.txt) except the perfbench package (its own CMake
+# project, perfbench/CMakeLists.txt).
 #
 #   scripts/check.sh          # plain build + full ctest, then ASan/UBSan + TSan
 #   SKIP_SANITIZE=1 scripts/check.sh   # skip the sanitizer passes
-#   SKIP_BENCH=1 scripts/check.sh      # skip the Release bench smoke
+#   SKIP_BENCH=1 scripts/check.sh      # skip the bench smoke + perfbench self-test
 #   SKIP_OBS_OFF=1 scripts/check.sh    # skip the STRUCTNET_OBS=OFF build
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -265,6 +267,17 @@ print("obs smoke: %d trace events, %d span names, nesting OK"
       % (len(events), len(names)))
 PYEOF
   rm -f "$trace_out"
+
+  echo "== perfbench self-test: correctness gates, determinism, metric surface =="
+  # Builds the benchmark package (Release, the whole src/ tree) into
+  # .bench_build or $CARGO_TARGET_DIR, runs each BENCHMARK.json workload
+  # twice for 3 s (untraced, traced) and fails on a failed correctness
+  # gate, a count that does not repeat, parameters that differ from
+  # perfbench/workloads.json, or a missing metric. The analytics gate
+  # checks static closeness and betweenness against BFS shortest-path
+  # counts; the serving gate requires probe payloads byte-equal to fresh
+  # kernel results.
+  python3 perfbench/selftest.py
 fi
 
 echo "check.sh: OK"

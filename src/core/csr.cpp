@@ -1,8 +1,6 @@
 #include "core/csr.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <limits>
 
 namespace structnet {
 
@@ -24,25 +22,6 @@ CsrGraph::CsrGraph(const Graph& g) {
     std::sort(neighbors_.begin() + static_cast<std::ptrdiff_t>(offsets_[v]),
               neighbors_.begin() + static_cast<std::ptrdiff_t>(offsets_[v + 1]));
   }
-}
-
-std::vector<std::uint32_t> csr_bfs_distances(const CsrGraph& g,
-                                             VertexId source) {
-  constexpr auto kUnreached = std::numeric_limits<std::uint32_t>::max();
-  std::vector<std::uint32_t> dist(g.vertex_count(), kUnreached);
-  std::deque<VertexId> queue{source};
-  dist[source] = 0;
-  while (!queue.empty()) {
-    const VertexId u = queue.front();
-    queue.pop_front();
-    for (VertexId v : g.neighbors(u)) {
-      if (dist[v] == kUnreached) {
-        dist[v] = dist[u] + 1;
-        queue.push_back(v);
-      }
-    }
-  }
-  return dist;
 }
 
 }  // namespace structnet

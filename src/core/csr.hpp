@@ -1,6 +1,8 @@
 // Compressed sparse row (CSR) view of a Graph: contiguous neighbor
-// storage for cache-friendly traversal in hot loops (centrality sweeps,
-// repeated BFS). Built once from a Graph; immutable afterwards.
+// storage, sorted ascending per vertex. The adjacency of the lane-packed
+// closeness and betweenness sweeps (centrality/centrality.cpp), whose
+// summation order is this ascending neighbor order. Built once from a
+// Graph; immutable afterwards.
 #pragma once
 
 #include <span>
@@ -32,11 +34,5 @@ class CsrGraph {
   std::vector<std::size_t> offsets_;   // n + 1 entries
   std::vector<VertexId> neighbors_;    // 2m entries, sorted per vertex
 };
-
-/// BFS hop distances over a CSR view (same semantics as
-/// algo/traversal.hpp's bfs_distances; used by performance-sensitive
-/// sweeps).
-std::vector<std::uint32_t> csr_bfs_distances(const CsrGraph& g,
-                                             VertexId source);
 
 }  // namespace structnet

@@ -3,14 +3,149 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <deque>
+#include <limits>
+#include <string>
+#include <utility>
 
+#include "algo/traversal.hpp"
 #include "centrality/centrality.hpp"
 #include "centrality/link_analysis.hpp"
 #include "centrality/powerlaw.hpp"
+#include "core/csr.hpp"
 #include "core/generators.hpp"
 
 namespace structnet {
 namespace {
+
+// Closeness by one deque BFS per source: the scalar kernel the
+// lane-packed sweep replaced, kept as its byte-equality reference.
+std::vector<double> per_source_closeness(const Graph& g) {
+  const std::size_t n = g.vertex_count();
+  std::vector<double> c(n, 0.0);
+  constexpr auto kUnreached = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> dist(n);
+  std::deque<VertexId> queue;
+  for (std::size_t s = 0; s < n; ++s) {
+    dist.assign(n, kUnreached);
+    dist[s] = 0;
+    queue.assign(1, static_cast<VertexId>(s));
+    double sum = 0.0;
+    std::size_t reached = 0;
+    while (!queue.empty()) {
+      const VertexId u = queue.front();
+      queue.pop_front();
+      sum += dist[u];
+      ++reached;
+      for (VertexId w : g.neighbors(u)) {
+        if (dist[w] == kUnreached) {
+          dist[w] = dist[u] + 1;
+          queue.push_back(w);
+        }
+      }
+    }
+    if (reached > 1 && sum > 0.0) {
+      c[s] = static_cast<double>(reached - 1) / sum;
+    }
+  }
+  return c;
+}
+
+// Scalar per-source Brandes in the summation order centrality.hpp
+// documents: sigma pulled from the previous level and delta from the
+// next, each over CsrGraph's ascending neighbours; sources folded in
+// ascending id.
+std::vector<double> pull_order_betweenness(const Graph& g) {
+  const CsrGraph csr(g);
+  const std::size_t n = g.vertex_count();
+  std::vector<double> bc(n, 0.0);
+  for (VertexId s = 0; s < n; ++s) {
+    const auto dist = bfs_distances(g, s);
+    const auto order = bfs_order(g, s);  // nondecreasing distance
+    std::vector<double> sigma(n, 0.0), delta(n, 0.0);
+    sigma[s] = 1.0;
+    for (const VertexId v : order) {
+      for (const VertexId u : csr.neighbors(v)) {
+        if (dist[u] + 1 == dist[v]) sigma[v] += sigma[u];
+      }
+    }
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+      const VertexId u = *it;
+      for (const VertexId w : csr.neighbors(u)) {
+        if (dist[w] == dist[u] + 1) {
+          delta[u] += sigma[u] / sigma[w] * (1.0 + delta[w]);
+        }
+      }
+    }
+    for (VertexId v = 0; v < n; ++v) {
+      if (v != s) bc[v] += delta[v];
+    }
+  }
+  for (double& x : bc) x /= 2.0;
+  return bc;
+}
+
+std::vector<std::uint64_t> bits(const std::vector<double>& xs) {
+  std::vector<std::uint64_t> out;
+  for (const double x : xs) out.push_back(std::bit_cast<std::uint64_t>(x));
+  return out;
+}
+
+// Two ER components and isolated vertices; the second component
+// straddles the 64-source block boundary.
+Graph disconnected_graph(Rng& rng) {
+  Graph g(90);
+  const Graph a = erdos_renyi(30, 0.15, rng);
+  const Graph b = erdos_renyi(40, 0.1, rng);
+  for (const Graph::Edge& e : a.edges()) g.add_edge(e.u + 2, e.v + 2);
+  for (const Graph::Edge& e : b.edges()) g.add_edge(e.u + 45, e.v + 45);
+  return g;
+}
+
+// 30 layers of 8 vertices, consecutive layers joined at random (plus a
+// matching, so every layer is reached). Shortest-path counts pass 2^53
+// with several unequal predecessors per vertex, so sigma sums round and
+// their order shows in the bits.
+Graph layered_graph(Rng& rng) {
+  constexpr std::size_t kLayers = 30, kWidth = 8;
+  Graph g(kLayers * kWidth);
+  for (std::size_t k = 0; k + 1 < kLayers; ++k) {
+    for (std::size_t i = 0; i < kWidth; ++i) {
+      for (std::size_t j = 0; j < kWidth; ++j) {
+        if (i == j || rng.uniform01() < 0.5) {
+          g.add_edge(static_cast<VertexId>(k * kWidth + i),
+                     static_cast<VertexId>((k + 1) * kWidth + j));
+        }
+      }
+    }
+  }
+  return g;
+}
+
+// Every input the lane-packed sweeps are held to: empty, single and
+// all-isolated graphs, regular shapes (grids have many equal shortest
+// paths), and random graphs below, at and across the 64-source block.
+std::vector<std::pair<std::string, Graph>> identity_graphs() {
+  std::vector<std::pair<std::string, Graph>> out;
+  out.emplace_back("empty", Graph(0));
+  out.emplace_back("single", Graph(1));
+  out.emplace_back("isolated", Graph(70));
+  out.emplace_back("path", path_graph(150));
+  out.emplace_back("star", star_graph(140));
+  out.emplace_back("grid", grid_graph(9, 15));
+  Rng rng(41);
+  for (const std::size_t n : {63, 64, 65, 130, 200}) {
+    const std::string tag = std::to_string(n);
+    out.emplace_back("er" + tag, erdos_renyi(n, 5.0 / n, rng));
+    out.emplace_back("ba" + tag, barabasi_albert(n, 2, rng));
+    out.emplace_back("ws" + tag, watts_strogatz(n, 2, 0.1, rng));
+  }
+  out.emplace_back("disconnected", disconnected_graph(rng));
+  out.emplace_back("layered", layered_graph(rng));
+  return out;
+}
 
 TEST(Centrality, DegreeOnStar) {
   const Graph g = star_graph(5);
@@ -60,6 +195,35 @@ TEST(Centrality, BetweennessBridgeDominates) {
   const auto b = betweenness_centrality(g);
   const double peak = *std::max_element(b.begin(), b.end());
   EXPECT_DOUBLE_EQ(b[3], peak);
+}
+
+TEST(Centrality, ClosenessByteEqualsPerSourceBfs) {
+  for (const auto& [name, g] : identity_graphs()) {
+    EXPECT_EQ(bits(closeness_centrality(g)), bits(per_source_closeness(g)))
+        << name;
+  }
+}
+
+TEST(Centrality, BetweennessByteEqualsPullOrderReference) {
+  for (const auto& [name, g] : identity_graphs()) {
+    EXPECT_EQ(bits(betweenness_centrality(g)),
+              bits(pull_order_betweenness(g)))
+        << name;
+  }
+}
+
+TEST(Centrality, BetweennessIgnoresEdgeInsertionOrder) {
+  // The documented order is by vertex id, so reinserting the same edges
+  // reversed (and with swapped endpoints) changes no bit.
+  Rng rng(43);
+  const Graph g = barabasi_albert(130, 3, rng);
+  Graph reversed(g.vertex_count());
+  const auto edges = g.edges();
+  for (auto it = edges.rbegin(); it != edges.rend(); ++it) {
+    reversed.add_edge(it->v, it->u);
+  }
+  EXPECT_EQ(bits(betweenness_centrality(reversed)),
+            bits(betweenness_centrality(g)));
 }
 
 TEST(Centrality, EigenvectorSymmetricOnCycle) {

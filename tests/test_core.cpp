@@ -5,7 +5,6 @@
 
 #include <algorithm>
 
-#include "algo/traversal.hpp"
 #include "core/csr.hpp"
 #include "core/digraph.hpp"
 #include "core/generators.hpp"
@@ -266,15 +265,6 @@ TEST(Csr, MirrorsAdjacency) {
     const auto got = csr.neighbors(v);
     EXPECT_TRUE(std::equal(expected.begin(), expected.end(), got.begin(),
                            got.end()));
-  }
-}
-
-TEST(Csr, BfsMatchesGraphBfs) {
-  Rng rng(10);
-  const Graph g = erdos_renyi(80, 0.06, rng);
-  const CsrGraph csr(g);
-  for (VertexId s = 0; s < 80; s += 13) {
-    EXPECT_EQ(csr_bfs_distances(csr, s), bfs_distances(g, s));
   }
 }
 

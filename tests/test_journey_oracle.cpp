@@ -1,10 +1,13 @@
 // Brute-force oracles: exhaustively enumerate journeys on small random
 // time-evolving graphs and check that the three optimizers return truly
-// optimal values (completion, hops, span), and that Brandes betweenness
-// matches naive path counting on small static graphs.
+// optimal values (completion, hops, span), and that static betweenness
+// and closeness match naive path counting and BFS distance sums on
+// graphs within and across 64-source lane blocks.
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "algo/traversal.hpp"
 #include "centrality/centrality.hpp"
@@ -219,14 +222,56 @@ std::vector<double> naive_betweenness(const Graph& g) {
   return bc;
 }
 
-TEST(BetweennessOracle, BrandesMatchesNaive) {
+// Five 12-vertex ER graphs (one 64-source block each), then graphs that
+// fill a block exactly plus one lane, span a ragged third block, and
+// leave lanes unreached: two ER components and isolated vertices, the
+// second component straddling the block boundary.
+std::vector<Graph> oracle_graphs() {
   Rng rng(5);
+  std::vector<Graph> out;
   for (int trial = 0; trial < 5; ++trial) {
-    Graph g = erdos_renyi(12, 0.25, rng);
+    out.push_back(erdos_renyi(12, 0.25, rng));
+  }
+  out.push_back(erdos_renyi(65, 0.06, rng));
+  out.push_back(erdos_renyi(130, 0.03, rng));
+  Graph split(80);
+  const Graph a = erdos_renyi(25, 0.15, rng);
+  const Graph b = erdos_renyi(30, 0.12, rng);
+  for (const Graph::Edge& e : a.edges()) split.add_edge(e.u + 3, e.v + 3);
+  for (const Graph::Edge& e : b.edges()) split.add_edge(e.u + 45, e.v + 45);
+  out.push_back(std::move(split));
+  return out;
+}
+
+TEST(BetweennessOracle, BrandesMatchesNaive) {
+  const auto graphs = oracle_graphs();
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    const Graph& g = graphs[i];
     const auto fast = betweenness_centrality(g);
     const auto slow = naive_betweenness(g);
-    for (std::size_t v = 0; v < 12; ++v) {
-      EXPECT_NEAR(fast[v], slow[v], 1e-9) << "trial " << trial << " v " << v;
+    for (std::size_t v = 0; v < g.vertex_count(); ++v) {
+      EXPECT_NEAR(fast[v], slow[v], 1e-9) << "graph " << i << " v " << v;
+    }
+  }
+}
+
+TEST(BetweennessOracle, ClosenessMatchesBfsDistanceSums) {
+  const auto graphs = oracle_graphs();
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    const Graph& g = graphs[i];
+    const auto fast = closeness_centrality(g);
+    for (VertexId s = 0; s < g.vertex_count(); ++s) {
+      std::size_t reached = 0, sum = 0;
+      for (const std::uint32_t d : bfs_distances(g, s)) {
+        if (d == std::numeric_limits<std::uint32_t>::max()) continue;
+        ++reached;
+        sum += d;
+      }
+      const double expected =
+          reached > 1 ? static_cast<double>(reached - 1) /
+                            static_cast<double>(sum)
+                      : 0.0;
+      EXPECT_EQ(fast[s], expected) << "graph " << i << " s " << s;
     }
   }
 }
