@@ -3,6 +3,7 @@
 // reconstructed Fig. 2 VANET and on random-waypoint contact traces.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <iostream>
 
@@ -422,7 +423,9 @@ void journey_kernel_speedup_table() {
   // fastest_journey used to run one full earliest-arrival sweep per
   // candidate departure time; the CSR profile kernel is one pass plus a
   // single sweep. minimum_hop_journey used to Bellman-Ford over every
-  // edge per layer; the CSR kernel relaxes only frontier contacts.
+  // edge per layer; the CSR kernel relaxes only frontier contacts and
+  // settles the target before relaxing each layer, so the final layer
+  // is never relaxed.
   Rng rng(41);
   RandomWaypointParams p;
   p.nodes = 200;
@@ -439,23 +442,36 @@ void journey_kernel_speedup_table() {
     if (s != d) pairs.emplace_back(s, d);
   }
 
-  bool match = true;
+  bool fastest_match = true, min_hop_match = true;
   for (const auto& [s, d] : pairs) {
     const auto fl = legacy::fastest_journey(eg, s, d, 0);
     const auto fc = csr_fastest_departure(csr, s, d, 0, ws);
-    match = match && fl.has_value() == fc.has_value() &&
-            (!fl || fl->span() == fc->second - fc->first);
+    fastest_match = fastest_match && fl.has_value() == fc.has_value() &&
+                    (!fl || fl->span() == fc->second - fc->first);
     const auto ml = legacy::minimum_hop_journey(eg, s, d, 0);
     const auto mc = csr_minimum_hop_journey(csr, s, d, 0, ws);
-    match = match && ml == mc;
+    min_hop_match = min_hop_match && ml == mc;
   }
 
-  Table t({"kernel", "legacy us_per_query", "csr us_per_query", "speedup"});
-  const auto report = [&](std::string_view kernel, double legacy_ns,
-                          double csr_ns) {
+  // Best of five passes per side: a CSR min-hop pass over the 48 pairs
+  // takes well under a millisecond, so one preemption would otherwise
+  // decide the ratio check.sh gates on.
+  const auto best_ns = [&](auto&& query) {
+    double best = time_ns_per_op(pairs.size(), query);
+    for (int rep = 1; rep < 5; ++rep) {
+      best = std::min(best, time_ns_per_op(pairs.size(), query));
+    }
+    return best;
+  };
+
+  Table t({"kernel", "legacy us_per_query", "csr us_per_query", "speedup",
+           "results_match"});
+  const auto report = [&](std::string_view kernel, bool match,
+                          double legacy_ns, double csr_ns) {
     const double speedup = csr_ns > 0.0 ? legacy_ns / csr_ns : 0.0;
     t.add_row({std::string(kernel), Table::num(legacy_ns / 1e3, 2),
-               Table::num(csr_ns / 1e3, 2), Table::num(speedup, 2)});
+               Table::num(csr_ns / 1e3, 2), Table::num(speedup, 2),
+               match ? "yes" : "NO"});
     BenchJson(kernel)
         .field("n", std::uint64_t(eg.vertex_count()))
         .field("contacts", std::uint64_t(csr.contact_count()))
@@ -466,23 +482,21 @@ void journey_kernel_speedup_table() {
         .field("results_match", match ? "yes" : "no")
         .emit();
   };
-  report("temporal_fastest_journey",
-         time_ns_per_op(pairs.size(),
-                        [&](std::size_t i) {
-                          benchmark::DoNotOptimize(legacy::fastest_journey(
-                              eg, pairs[i].first, pairs[i].second, 0));
-                        }),
-         time_ns_per_op(pairs.size(), [&](std::size_t i) {
+  report("temporal_fastest_journey", fastest_match,
+         best_ns([&](std::size_t i) {
+           benchmark::DoNotOptimize(legacy::fastest_journey(
+               eg, pairs[i].first, pairs[i].second, 0));
+         }),
+         best_ns([&](std::size_t i) {
            benchmark::DoNotOptimize(csr_fastest_departure(
                csr, pairs[i].first, pairs[i].second, 0, ws));
          }));
-  report("temporal_minimum_hop",
-         time_ns_per_op(pairs.size(),
-                        [&](std::size_t i) {
-                          benchmark::DoNotOptimize(legacy::minimum_hop_journey(
-                              eg, pairs[i].first, pairs[i].second, 0));
-                        }),
-         time_ns_per_op(pairs.size(), [&](std::size_t i) {
+  report("temporal_minimum_hop", min_hop_match,
+         best_ns([&](std::size_t i) {
+           benchmark::DoNotOptimize(legacy::minimum_hop_journey(
+               eg, pairs[i].first, pairs[i].second, 0));
+         }),
+         best_ns([&](std::size_t i) {
            benchmark::DoNotOptimize(csr_minimum_hop_journey(
                csr, pairs[i].first, pairs[i].second, 0, ws));
          }));

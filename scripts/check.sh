@@ -3,9 +3,11 @@
 # and with the obs layer compiled out, then the Release bench smoke and
 # its gates, then the perfbench self-test. Every build compiles with
 # -Werror (CMakeLists.txt) except the perfbench package (its own CMake
-# project, perfbench/CMakeLists.txt).
+# project, perfbench/CMakeLists.txt). The ASan/UBSan build is Debug, so
+# it is the one pass where the library's assert()s run; every other
+# build defines NDEBUG.
 #
-#   scripts/check.sh          # plain build + full ctest, then ASan/UBSan + TSan
+#   scripts/check.sh          # plain build + full ctest, then ASan/UBSan (Debug) + TSan
 #   SKIP_SANITIZE=1 scripts/check.sh   # skip the sanitizer passes
 #   SKIP_BENCH=1 scripts/check.sh      # skip the bench smoke + perfbench self-test
 #   SKIP_OBS_OFF=1 scripts/check.sh    # skip the STRUCTNET_OBS=OFF build
@@ -20,8 +22,9 @@ cmake --build build -j"$jobs"
 ctest --test-dir build --output-on-failure -j"$jobs"
 
 if [[ "${SKIP_SANITIZE:-0}" != "1" ]]; then
-  echo "== sanitizer pass (ASan + UBSan): full test suite =="
-  cmake -B build-asan -S . -DSTRUCTNET_SANITIZE=ON >/dev/null
+  echo "== sanitizer pass (ASan + UBSan, Debug with asserts): full test suite =="
+  cmake -B build-asan -S . -DSTRUCTNET_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug \
+    >/dev/null
   cmake --build build-asan -j"$jobs"
   ctest --test-dir build-asan --output-on-failure -j"$jobs"
 
@@ -113,6 +116,31 @@ if d["csr_builds"] > 1 + d["csr_compactions"]:
 print("churn gate: %.1fx planning speedup; %d builds, %d compactions, "
       "%d delta appends" % (c["speedup_vs_rebuild"], d["csr_builds"],
                             d["csr_compactions"], d["csr_delta_appends"]))
+PYEOF
+
+  echo "== journey gate: journey kernels match legacy, min-hop at >= 10x =="
+  # Each per-query journey record carries its own results_match against
+  # the legacy oracle (fastest: same span; min-hop: the same hops), and
+  # the min-hop kernel, which settles the target before relaxing each
+  # hop layer, must clear 10x over the legacy per-layer Bellman-Ford on
+  # the 200-vertex RWP instance.
+  python3 - "$bench_out/bench_temporal_paths.out" <<'PYEOF'
+import json, sys
+
+with open(sys.argv[1]) as f:
+    recs = {r["bench"]: r for r in
+            (json.loads(l) for l in f if l.strip().startswith("{"))
+            if "bench" in r}
+for name in ("temporal_fastest_journey", "temporal_minimum_hop"):
+    if name not in recs:
+        sys.exit("journey gate: no %s record" % name)
+    if recs[name]["results_match"] != "yes":
+        sys.exit("journey gate: %s diverged from the legacy oracle" % name)
+mh = recs["temporal_minimum_hop"]["speedup_vs_legacy"]
+if mh < 10.0:
+    sys.exit("journey gate: min-hop speedup %.2fx < 10x" % mh)
+print("journey gate: fastest %.1fx, min-hop %.1fx over legacy"
+      % (recs["temporal_fastest_journey"]["speedup_vs_legacy"], mh))
 PYEOF
 
   echo "== recovery gate: WAL crash matrix + throughput JSON shape =="

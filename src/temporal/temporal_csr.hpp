@@ -310,8 +310,11 @@ std::optional<std::pair<TimeUnit, TimeUnit>> csr_fastest_departure(
 /// Layered search that relaxes only the edges incident to vertices
 /// improved in the previous layer — one lower_bound into the edge's
 /// label array per incident edge (instead of the legacy Bellman-Ford
-/// over every edge per layer); returns the exact legacy journey (same
-/// hops) by reproducing its (label, edge id) tie-breaking.
+/// over every edge per layer). Before relaxing a layer it checks the
+/// target's edges to reached vertices and returns as soon as one
+/// offers a label, so the final (largest) layer is never relaxed;
+/// returns the exact legacy journey (same hops) by reproducing its
+/// (label, edge id) tie-breaking.
 std::optional<Journey> csr_minimum_hop_journey(const TemporalCsr& csr,
                                                VertexId source, VertexId target,
                                                TimeUnit t_start,

@@ -138,8 +138,7 @@ bool DeltaTemporalCsr::add_contact(VertexId u, VertexId v, TimeUnit t) {
 }
 
 bool DeltaTemporalCsr::remove_contact(VertexId u, VertexId v, TimeUnit t) {
-  assert(t < horizon());
-  if (u >= n_ || v >= n_) return false;
+  if (u >= n_ || v >= n_ || t >= horizon()) return false;
   prefetch(edge_of_.probe_line(endpoint_key(u, v)));
   prefetch(&vadd_[u]);
   prefetch(&vadd_[v]);

@@ -63,7 +63,8 @@ class DeltaTemporalCsr {
 
   /// Removes contact (u, v, t): erases a delta-added label outright, or
   /// tombstones a live base label. Returns false when the contact is
-  /// not live (like TemporalGraph::remove_label).
+  /// not live, t at or past the horizon included (like
+  /// TemporalGraph::remove_label).
   bool remove_contact(VertexId u, VertexId v, TimeUnit t);
 
   /// Extends the vertex space to n (new vertices start contact-free);
@@ -346,7 +347,10 @@ class DeltaTemporalCsr {
 
 /// The three temporal-path kernels over the merged base+delta view —
 /// bit-identical to running the TemporalCsr overloads on a fresh
-/// rebuild of the mutated graph.
+/// rebuild of the mutated graph. The min-hop kernel's target check
+/// reads the merged adjacency in ascending edge id too, so a
+/// delta-created last hop (a larger id) loses a label tie to a base
+/// one exactly as on the rebuild.
 void csr_earliest_arrival(const DeltaTemporalCsr& csr, VertexId source,
                           TimeUnit t_start, TemporalWorkspace& ws,
                           VertexId stop_at = kInvalidVertex);

@@ -524,6 +524,47 @@ std::optional<Journey> WorkspaceOps::minimum_hop(const Index& csr,
   ws.layer_off_.assign(1, 0);
 
   for (std::size_t h = 0; h + 1 < n + 1; ++h) {
+    // Settle the target before relaxing layer h. Its layer-h candidate
+    // is the minimal (label, edge id) over edges e = (u, target) with u
+    // in the frontier and label = first_label_at(e, ready(u)), and the
+    // walk-back reads nothing else from layer h — so when such an edge
+    // exists the journey is known without relaxing the layer (on random
+    // queries the final layer holds most of the relaxations). Testing
+    // reached(u) instead of frontier membership is exact: a reached u
+    // outside the frontier kept the ready time it had in an earlier
+    // frontier, where a finite label would already have settled the
+    // target. for_each_incident yields ascending edge ids, so the first
+    // strict label minimum is the (label, edge id) tie-break winner.
+    VertexId last_from = kInvalidVertex;
+    TimeUnit last_t = kNeverTime;
+    csr.for_each_incident(target, [&](EdgeId e, VertexId u) {
+      if (!ws.reached(u)) return true;
+      const TimeUnit t = csr.first_label_at(e, ws.arrival_[u]);
+      if (t < last_t) {
+        last_t = t;
+        last_from = u;
+      }
+      return true;
+    });
+    if (last_t != kNeverTime) {
+      Journey j;
+      j.hops.push_back(JourneyHop{last_from, target, last_t});
+      VertexId cur = last_from;
+      for (std::size_t layer = ws.layer_off_.size() - 1; layer-- > 0;) {
+        if (cur == source) break;
+        const auto lo = ws.via_flat_.begin() + ws.layer_off_[layer];
+        const auto hi = ws.via_flat_.begin() + ws.layer_off_[layer + 1];
+        const auto it = std::lower_bound(
+            lo, hi, cur, [](const auto& p, VertexId v) { return p.first < v; });
+        if (it == hi || it->first != cur) continue;  // reached earlier layer
+        j.hops.push_back(it->second);
+        cur = it->second.from;
+      }
+      assert(cur == source);
+      std::reverse(j.hops.begin(), j.hops.end());
+      return j;
+    }
+
     // Per-layer candidate state in value_ (stamped by value_tick_):
     // value_[w] = best next-ready so far, value_edge_[w] = its edge id
     // (legacy takes the FIRST strict improvement in edge id scan order,
@@ -564,9 +605,10 @@ std::optional<Journey> WorkspaceOps::minimum_hop(const Index& csr,
     if (ws.newly_.empty()) return std::nullopt;
 
     std::sort(ws.newly_.begin(), ws.newly_.end());
-    bool target_hit = false;
     for (VertexId w : ws.newly_) {
-      if (w == target && !ws.reached(w)) target_hit = true;
+      // The settle check above found no finite label into the target
+      // from any reached vertex, so this layer cannot improve it.
+      assert(w != target);
       if (!ws.reached(w)) {
         ws.set_arrival(w, ws.value_[w], ws.hop_cand_[w]);
       } else {
@@ -575,24 +617,6 @@ std::optional<Journey> WorkspaceOps::minimum_hop(const Index& csr,
       ws.via_flat_.emplace_back(w, ws.hop_cand_[w]);
     }
     ws.layer_off_.push_back(ws.via_flat_.size());
-
-    if (target_hit) {
-      Journey j;
-      VertexId cur = target;
-      for (std::size_t layer = ws.layer_off_.size() - 1; layer-- > 0;) {
-        if (cur == source) break;
-        const auto lo = ws.via_flat_.begin() + ws.layer_off_[layer];
-        const auto hi = ws.via_flat_.begin() + ws.layer_off_[layer + 1];
-        const auto it = std::lower_bound(
-            lo, hi, cur, [](const auto& p, VertexId v) { return p.first < v; });
-        if (it == hi || it->first != cur) continue;  // reached earlier layer
-        j.hops.push_back(it->second);
-        cur = it->second.from;
-      }
-      assert(cur == source);
-      std::reverse(j.hops.begin(), j.hops.end());
-      return j;
-    }
     ws.seeds_.swap(ws.newly_);
   }
   return std::nullopt;

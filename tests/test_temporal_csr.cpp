@@ -186,6 +186,117 @@ TEST(TemporalCsrMinimumHop, MatchesLegacyJourneyExactly) {
   }
 }
 
+TEST(TemporalCsrMinimumHop, LastHopTieGoesToSmallerEdgeId) {
+  // Diamond 0-1@1, 0-2@1, 1-3@5, 2-3@5: both last hops into 3 carry
+  // label 5 from a vertex ready at 1, so only the edge id separates
+  // them — and flipping the insertion order of the last hops flips the
+  // journey.
+  const Journey via1{{JourneyHop{0, 1, 1}, JourneyHop{1, 3, 5}}};
+  const Journey via2{{JourneyHop{0, 2, 1}, JourneyHop{2, 3, 5}}};
+  TemporalWorkspace ws;
+  for (const bool flip : {false, true}) {
+    TemporalGraph eg(4, 8);
+    eg.add_contact(0, 1, 1);
+    eg.add_contact(0, 2, 1);
+    eg.add_contact(flip ? 2 : 1, 3, 5);
+    eg.add_contact(flip ? 1 : 2, 3, 5);
+    const Journey& want = flip ? via2 : via1;
+    EXPECT_EQ(legacy::minimum_hop_journey(eg, 0, 3, 0), want) << flip;
+    EXPECT_EQ(csr_minimum_hop_journey(TemporalCsr(eg), 0, 3, 0, ws), want)
+        << flip;
+    EXPECT_EQ(minimum_hop_journey(eg, 0, 3, 0), want) << flip;
+  }
+  // On the overlay an edge the delta creates takes the next free id, so
+  // a delta-created last hop loses the tie to the base one.
+  for (const bool flip : {false, true}) {
+    TemporalGraph eg(4, 8);
+    eg.add_contact(0, 1, 1);
+    eg.add_contact(0, 2, 1);
+    eg.add_contact(flip ? 2 : 1, 3, 5);
+    DeltaTemporalCsr delta(eg);
+    ASSERT_TRUE(delta.add_contact(flip ? 1 : 2, 3, 5));
+    eg.add_contact(flip ? 1 : 2, 3, 5);
+    ASSERT_EQ(delta.edge_count(), 4u);
+    const Journey& want = flip ? via2 : via1;
+    EXPECT_EQ(legacy::minimum_hop_journey(eg, 0, 3, 0), want) << flip;
+    EXPECT_EQ(csr_minimum_hop_journey(delta, 0, 3, 0, ws), want) << flip;
+    EXPECT_EQ(csr_minimum_hop_journey(TemporalCsr(eg), 0, 3, 0, ws), want)
+        << flip;
+  }
+  // The label decides before the edge id: a later label on the smaller
+  // edge id loses.
+  TemporalGraph eg(4, 8);
+  eg.add_contact(0, 1, 1);
+  eg.add_contact(0, 2, 1);
+  eg.add_contact(1, 3, 6);
+  eg.add_contact(2, 3, 5);
+  EXPECT_EQ(csr_minimum_hop_journey(TemporalCsr(eg), 0, 3, 0, ws), via2);
+  EXPECT_EQ(legacy::minimum_hop_journey(eg, 0, 3, 0), via2);
+}
+
+TEST(TemporalCsrMinimumHop, MatchesLegacyOnSparseLongJourneys) {
+  // n = 300 at average degree ~2.5: the journeys run four hops and more
+  // (the n <= 13 suite above rarely gets past three), and many targets
+  // are unreachable (isolated vertices, other components, labels too
+  // early). Both indexes: a fresh TemporalCsr, and a DeltaTemporalCsr
+  // over the graph before a burst of adds (new edges included) and
+  // label removals.
+  Rng rng(59);
+  std::size_t long_journeys = 0, unreachable = 0, max_hops = 0;
+  for (int round = 0; round < 3; ++round) {
+    EgParams p;
+    p.n = 300;
+    p.horizon = 40;
+    p.edges = 360;
+    p.labels_per_edge = 4;
+    p.isolated = 8;
+    p.emptied_edges = 4;
+    TemporalGraph eg = random_eg(rng, p);
+    DeltaTemporalCsr delta(eg);
+    for (int step = 0; step < 120; ++step) {
+      const auto u = static_cast<VertexId>(rng.index(p.n - p.isolated));
+      auto v = static_cast<VertexId>(rng.index(p.n - p.isolated));
+      if (u == v) v = static_cast<VertexId>((v + 1) % (p.n - p.isolated));
+      const auto t = static_cast<TimeUnit>(rng.index(p.horizon));
+      eg.add_contact(u, v, t);
+      delta.add_contact(u, v, t);
+      const auto e = static_cast<EdgeId>(rng.index(eg.edge_count()));
+      const auto edge = eg.edge(e);
+      if (step % 3 == 0 && !edge.labels.empty()) {
+        const TimeUnit dead = edge.labels.front();
+        ASSERT_TRUE(delta.remove_contact(edge.u, edge.v, dead));
+        eg.remove_label(edge.u, edge.v, dead);
+      }
+    }
+    ASSERT_FALSE(delta.delta_empty());
+    const TemporalCsr fresh(eg);
+    TemporalWorkspace wsa, wsb;
+    for (int pick = 0; pick < 4; ++pick) {
+      const auto s = static_cast<VertexId>(rng.index(p.n - p.isolated));
+      for (VertexId d = 0; d < eg.vertex_count(); ++d) {
+        for (TimeUnit t_start : {TimeUnit{0}, TimeUnit{6}}) {
+          const auto want = legacy::minimum_hop_journey(eg, s, d, t_start);
+          const auto got = csr_minimum_hop_journey(fresh, s, d, t_start, wsa);
+          ASSERT_EQ(got, want)
+              << "csr s=" << s << " d=" << d << " t_start=" << t_start;
+          ASSERT_EQ(csr_minimum_hop_journey(delta, s, d, t_start, wsb), want)
+              << "delta s=" << s << " d=" << d << " t_start=" << t_start;
+          if (!want) {
+            ++unreachable;
+            continue;
+          }
+          EXPECT_TRUE(want->valid_for(eg));
+          long_journeys += want->hop_count() >= 4;
+          max_hops = std::max(max_hops, want->hop_count());
+        }
+      }
+    }
+  }
+  EXPECT_GT(long_journeys, 2000u);
+  EXPECT_GT(unreachable, 2000u);
+  EXPECT_GE(max_hops, 10u);
+}
+
 TEST(TemporalCsrFastest, MatchesLegacySpanAndValidity) {
   Rng rng(31);
   for (int round = 0; round < 30; ++round) {
@@ -529,9 +640,12 @@ TEST(TemporalDeltaChurn, ResurrectionAndDuplicateSemantics) {
   EXPECT_TRUE(delta.remove_contact(2, 3, 1));
   eg.remove_label(2, 3, 1);
   EXPECT_TRUE(delta.delta_empty());
-  // Removing a contact that never existed fails on both paths.
+  // Removing a contact that never existed fails on both paths, as does
+  // one at or past the horizon (the graph's remove_label rejects it too).
   EXPECT_FALSE(delta.remove_contact(0, 3, 4));
   EXPECT_FALSE(delta.remove_contact(0, 1, 5));
+  EXPECT_FALSE(eg.remove_label(0, 1, 6));
+  EXPECT_FALSE(delta.remove_contact(0, 1, 6));
 
   expect_delta_layout_equal(eg, delta);
 }
