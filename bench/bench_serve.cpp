@@ -8,6 +8,8 @@
 //     admission control as max_queue shrinks (backpressure, not blocking).
 //   * churn serving — delta-advance planning under interleaved events,
 //     checked against a freshly rebuilt contact index.
+//   * update cost — per-call apply_events cost of contact adds, relabels
+//     and node joins on a 20k-vertex / 400k-contact index.
 //   * lane packing — one-query flushes vs one lane-packed flush.
 #include <benchmark/benchmark.h>
 
@@ -19,6 +21,7 @@
 #include <iostream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -267,6 +270,87 @@ void churn_serving_table() {
       .emit();
 }
 
+/// Per-call apply_events cost once the index is large: fresh contact
+/// adds, relabels of live contacts and node joins, each applied alone
+/// through a broker over a 20k-vertex / 400k-contact instance. A relabel
+/// or a join must not scale with the contacts held, so check.sh gates
+/// relabel_over_add (a ratio within one run, so it holds when the
+/// host's speed drifts from run to run) and join_ms.
+void update_cost_table() {
+  constexpr std::size_t kN = 20'000, kPairs = 100'000, kLabels = 4;
+  constexpr TimeUnit kH = 512;
+  constexpr std::size_t kAdds = 2'000, kRelabels = 200, kJoins = 3;
+  Rng rng(41);
+  const auto random_pair = [&] {
+    const auto u = static_cast<VertexId>(rng.index(kN));
+    auto v = static_cast<VertexId>(rng.index(kN));
+    if (u == v) v = static_cast<VertexId>((v + 1) % kN);
+    return std::pair{u, v};
+  };
+  const auto random_time = [&] {
+    return static_cast<TimeUnit>(rng.index(kH));
+  };
+
+  StreamEngine engine{DynamicGraph(kN)};
+  TemporalViewObserver view(kN, kH);
+  engine.attach(&view);
+  std::vector<Event> ingest;
+  ingest.reserve(kPairs * kLabels);
+  for (std::size_t i = 0; i < kPairs; ++i) {
+    const auto [u, v] = random_pair();
+    for (std::size_t k = 0; k < kLabels; ++k) {
+      ingest.push_back(Event::contact_add(u, v, random_time()));
+    }
+  }
+  engine.apply_batch(ingest);
+  BrokerConfig cfg;
+  cfg.threads = 1;
+  QueryBroker broker(engine, &view, cfg);
+
+  std::vector<Event> adds;
+  while (adds.size() < kAdds) {
+    const auto [u, v] = random_pair();
+    const TimeUnit t = random_time();
+    if (!view.view().has_contact(u, v, t)) {
+      adds.push_back(Event::contact_add(u, v, t));
+    }
+  }
+  std::vector<Event> relabels;
+  for (std::size_t i = 0; i < kRelabels; ++i) {
+    const Event& live = ingest[rng.index(ingest.size())];
+    relabels.push_back(
+        Event::contact_relabel(live.u, live.v, live.time, random_time()));
+  }
+  const std::vector<Event> joins(kJoins, Event::node_join());
+
+  const auto ns_per_call = [&](const std::vector<Event>& events) {
+    return time_ns_per_op(events.size(), [&](std::size_t i) {
+      broker.apply_events({&events[i], 1});
+    });
+  };
+  const double add_ns = ns_per_call(adds);
+  const double relabel_ns = ns_per_call(relabels);
+  const double join_ms = ns_per_call(joins) / 1e6;
+  const double ratio = add_ns > 0.0 ? relabel_ns / add_ns : 0.0;
+
+  Table t({"contacts", "add_us", "relabel_us", "relabel_over_add",
+           "join_ms"});
+  t.add_row({Table::num(std::uint64_t(ingest.size())),
+             Table::num(add_ns / 1e3, 2), Table::num(relabel_ns / 1e3, 2),
+             Table::num(ratio, 2), Table::num(join_ms, 3)});
+  t.print(std::cout, "update cost: one event per apply_events call (" +
+                         std::to_string(kN) + " vertices)");
+  BenchJson("serve_update_cost")
+      .field("n", std::uint64_t(kN))
+      .field("contacts", std::uint64_t(ingest.size()))
+      .field("add_ns", add_ns)
+      .field("relabel_ns", relabel_ns)
+      .field("relabel_over_add", ratio)
+      .field("join_ms", join_ms)
+      .threads(1)
+      .emit();
+}
+
 void lane_pack_table() {
   // Batched TemporalDistances serving: one query per flush (the scalar
   // path, one sweep per query) vs one flush for the whole queue
@@ -448,6 +532,7 @@ int main(int argc, char** argv) {
   structnet::throughput_table();
   structnet::shed_rate_table();
   structnet::churn_serving_table();
+  structnet::update_cost_table();
   structnet::lane_pack_table();
   structnet::serve_metrics_smoke();
   benchmark::Initialize(&argc, argv);

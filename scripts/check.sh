@@ -84,6 +84,10 @@ print(name + ": " + str(len(lines)) + " BENCH/METRICS JSON lines parse")
   # Serve-level: under a churn workload the broker's served probe equals
   # a sweep over a freshly rebuilt index, and serve.csr_builds stays
   # bounded by 1 + compactions while serve.csr_delta_appends grows.
+  # Update cost: on the 400k-contact index a relabel costs at most 8x a
+  # fresh add (a ratio within one run, so it holds when the host's speed
+  # drifts from run to run) and a node join at most 50 ms: neither may
+  # scale with the contacts held.
   python3 - "$bench_out/bench_temporal_paths.out" "$bench_out/bench_serve.out" <<'PYEOF'
 import json, sys
 
@@ -113,9 +117,20 @@ if d["csr_delta_appends"] == 0:
 if d["csr_builds"] > 1 + d["csr_compactions"]:
     sys.exit("churn gate: csr_builds %d exceeds 1 + compactions %d"
              % (d["csr_builds"], d["csr_compactions"]))
+
+cost = [r for r in recs(sys.argv[2]) if r.get("bench") == "serve_update_cost"]
+if not cost:
+    sys.exit("churn gate: no serve_update_cost record")
+u = cost[0]
+if u["relabel_over_add"] > 8.0:
+    sys.exit("churn gate: a relabel costs %.1fx an add > 8x"
+             % u["relabel_over_add"])
+if u["join_ms"] > 50.0:
+    sys.exit("churn gate: a node join costs %.1f ms > 50 ms" % u["join_ms"])
 print("churn gate: %.1fx planning speedup; %d builds, %d compactions, "
-      "%d delta appends" % (c["speedup_vs_rebuild"], d["csr_builds"],
-                            d["csr_compactions"], d["csr_delta_appends"]))
+      "%d delta appends; relabel %.2fx add, join %.2f ms"
+      % (c["speedup_vs_rebuild"], d["csr_builds"], d["csr_compactions"],
+         d["csr_delta_appends"], u["relabel_over_add"], u["join_ms"]))
 PYEOF
 
   echo "== journey gate: journey kernels match legacy, min-hop at >= 10x =="

@@ -62,8 +62,7 @@ void DeltaCsrObserver::on_event(const DynamicGraph&, const Event& event,
       break;
     }
     case EventKind::kNodeJoin:
-      // The view rebases itself off its contact log in first-touch
-      // order, which preserves every existing edge id — so the delta
+      // The view grows in place, keeping every edge id, so the delta
       // only needs the wider vertex space.
       index_.grow_vertices(effect.vertex + std::size_t{1});
       break;

@@ -10,7 +10,9 @@
 // is missing, NodeJoin grows the vertex space), so the merged index is
 // always bit-identical to TemporalCsr(view.view()). Attach it AFTER the
 // view observer — attach() synchronizes it via recompute(), which
-// rebases off the view's current graph.
+// rebases off the view's current graph. The view rebuilds itself from
+// the engine's event log, so re-attaching both to a checkpoint-restored
+// engine brings the index back whole as well.
 //
 // advance() is the planner hook: it absorbs the delta into a fresh base
 // when the size-ratio compaction policy fires (or when the caller needs

@@ -11,9 +11,11 @@
 //  * SafetyLevelObserver— labeling/safety_levels.hpp on a hypercube id
 //                         space: NodeLeave = fault (localized downward
 //                         wave), NodeJoin = recovery (restabilization).
-//  * TemporalViewObserver — appends contacts into a
+//  * TemporalViewObserver — folds contact events into a
 //                         temporal/temporal_graph.hpp view and lazily
-//                         invalidates a cached trimmed view.
+//                         invalidates a cached trimmed view. It keeps
+//                         no contact history: the engine's event log
+//                         is the one copy, and recompute() replays it.
 //
 // Every observer's recompute() rebuilds from scratch and lands in the
 // exact state the incremental path maintains, which is what the churn
@@ -115,22 +117,24 @@ class SafetyLevelObserver : public StreamObserver {
   std::uint64_t work_ = 0;
 };
 
-/// Appends contact events into a TemporalGraph and keeps a lazily
+/// Folds contact events into a TemporalGraph and keeps a lazily
 /// recomputed trimmed view (trimming/eg_trimming.hpp): any mutation
 /// invalidates the cache; trimmed() rebuilds it on the next read.
 class TemporalViewObserver : public StreamObserver {
  public:
-  TemporalViewObserver(std::size_t n, TimeUnit horizon);
+  TemporalViewObserver(std::size_t n, TimeUnit horizon)
+      : view_(n, horizon) {}
 
   std::string_view name() const override { return "temporal"; }
   void on_event(const DynamicGraph& g, const Event& event,
                 const EventEffect& effect) override;
-  /// Rebuilds the view from the accumulated contact log.
+  /// Rebuilds the view by replaying the engine's event log, so a view
+  /// attached late, or to a checkpoint-restored engine, comes back whole.
   void recompute(const DynamicGraph& g) override;
 
   const TemporalGraph& view() const { return view_; }
-  const std::vector<Contact>& contact_log() const { return log_; }
-  /// Contacts whose time fell outside the horizon (dropped, counted).
+  /// Contacts and relabels dropped because their time fell outside the
+  /// horizon.
   std::uint64_t out_of_horizon() const { return out_of_horizon_; }
 
   /// The trimmed view (node-trimming rule, priority = vertex id),
@@ -139,9 +143,11 @@ class TemporalViewObserver : public StreamObserver {
   bool trim_cache_valid() const { return trim_cache_.has_value(); }
 
  private:
+  /// Applies one accepted event in its logged form (a NodeJoin carries
+  /// the resolved id in `u`): the one code path of on_event and replay.
+  void apply(const Event& event);
+
   TemporalGraph view_;
-  std::vector<Contact> log_;
-  std::vector<double> priority_;
   std::uint64_t out_of_horizon_ = 0;
   mutable std::optional<TrimResult> trim_cache_;
 };

@@ -5,7 +5,7 @@
 
 namespace structnet {
 
-void TemporalGraph::add_contact(VertexId u, VertexId v, TimeUnit t) {
+bool TemporalGraph::add_contact(VertexId u, VertexId v, TimeUnit t) {
   assert(u < vertex_count() && v < vertex_count() && u != v);
   assert(t < horizon_);
   EdgeId e = find_edge(u, v);
@@ -17,7 +17,9 @@ void TemporalGraph::add_contact(VertexId u, VertexId v, TimeUnit t) {
   }
   auto& labels = edges_[e].labels;
   const auto it = std::lower_bound(labels.begin(), labels.end(), t);
-  if (it == labels.end() || *it != t) labels.insert(it, t);
+  if (it != labels.end() && *it == t) return false;
+  labels.insert(it, t);
+  return true;
 }
 
 void TemporalGraph::add_edge_labels(VertexId u, VertexId v,
@@ -84,13 +86,6 @@ TemporalGraph TemporalGraph::from_snapshots(std::span<const Graph> snapshots) {
   return eg;
 }
 
-TemporalGraph TemporalGraph::from_contacts(std::size_t n, TimeUnit horizon,
-                                           std::span<const Contact> contacts) {
-  TemporalGraph eg(n, horizon);
-  for (const Contact& c : contacts) eg.add_contact(c.u, c.v, c.t);
-  return eg;
-}
-
 TemporalGraph TemporalGraph::without_vertex(VertexId v) const {
   TemporalGraph eg(vertex_count(), horizon_);
   for (const LabeledEdge& e : edges_) {
@@ -117,6 +112,10 @@ bool TemporalGraph::remove_label(VertexId u, VertexId v, TimeUnit t) {
   if (it == labels.end() || *it != t) return false;
   labels.erase(it);
   return true;
+}
+
+void TemporalGraph::grow_vertices(std::size_t n) {
+  if (n > incident_.size()) incident_.resize(n);
 }
 
 TemporalGraph TemporalGraph::without_label(VertexId u, VertexId v,

@@ -5,6 +5,10 @@
 // { i | (u, v) in E_i }. Message transmission over a contact is
 // instantaneous, so a journey is a path whose edge labels are
 // non-decreasing.
+//
+// The streaming view (stream/observers.hpp) maintains one in place.
+// Edge ids follow first touch and survive remove_label and
+// grow_vertices, so one mutation sequence always yields equal graphs.
 #pragma once
 
 #include <cstddef>
@@ -47,8 +51,9 @@ class TemporalGraph {
   TimeUnit horizon() const { return horizon_; }
 
   /// Registers that (u, v) is active during time unit t (t < horizon).
-  /// Idempotent; keeps label sets sorted.
-  void add_contact(VertexId u, VertexId v, TimeUnit t);
+  /// Idempotent; keeps label sets sorted. Returns whether the contact
+  /// was new.
+  bool add_contact(VertexId u, VertexId v, TimeUnit t);
 
   /// Adds an edge with a whole label set at once.
   void add_edge_labels(VertexId u, VertexId v, std::span<const TimeUnit> labels);
@@ -86,10 +91,6 @@ class TemporalGraph {
   /// Builds an EG from an ordered sequence of same-size snapshots.
   static TemporalGraph from_snapshots(std::span<const Graph> snapshots);
 
-  /// Builds an EG from a contact list; n and horizon given explicitly.
-  static TemporalGraph from_contacts(std::size_t n, TimeUnit horizon,
-                                     std::span<const Contact> contacts);
-
   /// Copy with one vertex's incident edges removed (for trimming).
   TemporalGraph without_vertex(VertexId v) const;
 
@@ -103,6 +104,10 @@ class TemporalGraph {
   /// exist. The edge record remains (possibly with an empty label set) so
   /// edge ids stay stable.
   bool remove_label(VertexId u, VertexId v, TimeUnit t);
+
+  /// Extends the vertex space to n (new vertices start contact-free);
+  /// no-op when n is not larger than the current count. Edge ids stay.
+  void grow_vertices(std::size_t n);
 
   /// Structural equality (same vertices, horizon, edge records in the
   /// same order with identical label sets). Used by streaming observers

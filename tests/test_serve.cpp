@@ -7,6 +7,8 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <span>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -14,6 +16,7 @@
 
 #include "centrality/centrality.hpp"
 #include "core/generators.hpp"
+#include "fault/checkpoint.hpp"
 #include "fault/fault_plan.hpp"
 #include "layering/nsf.hpp"
 #include "obs/metrics.hpp"
@@ -610,6 +613,119 @@ TEST(ServeChurnTest, ConcurrentSubmitAndApplyNeverDeadlocks) {
   }
   EXPECT_EQ(ok + shed, 500u);
   EXPECT_GT(ok, 0u);
+}
+
+// ------------------------------------------------------------ restore
+
+/// A seeded stream on ServeRig's ids mixing every event the temporal
+/// view folds: contact adds inside and past the horizon, relabels (old
+/// label live, old label missing, new label past the horizon), node
+/// joins, departures and revivals.
+std::vector<Event> restore_stream(std::uint64_t seed) {
+  constexpr TimeUnit kHorizon = ServeRig::kHorizon;
+  Rng rng(seed);
+  std::vector<Event> events;
+  std::vector<Contact> added;
+  std::size_t n = ServeRig::kNodes;
+  while (events.size() < 240) {
+    const auto u = static_cast<VertexId>(rng.index(n));
+    auto v = static_cast<VertexId>(rng.index(n));
+    if (u == v) v = static_cast<VertexId>((v + 1) % n);
+    const auto t = static_cast<TimeUnit>(rng.index(kHorizon));
+    const auto t2 = static_cast<TimeUnit>(rng.index(kHorizon));
+    const double dice = rng.uniform01();
+    if (dice < 0.45) {
+      events.push_back(Event::contact_add(u, v, t));
+      added.push_back(Contact{u, v, t});
+    } else if (dice < 0.50) {
+      events.push_back(Event::contact_add(u, v, kHorizon + t));
+    } else if (dice < 0.62 && !added.empty()) {
+      const Contact c = added[rng.index(added.size())];
+      events.push_back(Event::contact_relabel(c.u, c.v, c.t, t2));
+    } else if (dice < 0.70) {
+      events.push_back(Event::contact_relabel(u, v, t, t2));
+    } else if (dice < 0.75) {
+      events.push_back(Event::contact_relabel(u, v, t, kHorizon + t2));
+    } else if (dice < 0.82) {
+      events.push_back(Event::edge_insert(u, v));
+    } else if (dice < 0.86) {
+      events.push_back(Event::node_leave(u));
+    } else if (dice < 0.95) {
+      events.push_back(Event::node_join(u));  // revival when u departed
+    } else {
+      events.push_back(Event::node_join());  // fresh id
+      ++n;
+    }
+  }
+  return events;
+}
+
+/// Serves `queries` in one flush; every one must resolve Ok.
+std::vector<QueryPayload> serve_all(QueryBroker& broker,
+                                    const std::vector<Query>& queries) {
+  std::vector<std::future<QueryResult>> futures;
+  for (const Query& q : queries) futures.push_back(broker.submit(q));
+  broker.flush();
+  std::vector<QueryPayload> payloads;
+  for (auto& f : futures) {
+    QueryResult r = f.get();
+    EXPECT_EQ(r.status, QueryStatus::kOk);
+    payloads.push_back(std::move(r.payload));
+  }
+  return payloads;
+}
+
+// fault/checkpoint.hpp's contract: a restored engine has no observers,
+// and re-attaching one resynchronizes it. A temporal view and a broker
+// attached to the restored engine must therefore land where an
+// uninterrupted stack lands after the same stream.
+TEST(ServeRestoreTest, ReattachedViewAndBrokerMatchUninterruptedRun) {
+  constexpr std::size_t kNodes = ServeRig::kNodes;
+  constexpr TimeUnit kHorizon = ServeRig::kHorizon;
+  Rng kills(31);
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const std::vector<Event> events = restore_stream(seed);
+    const std::span<const Event> stream(events);
+    const std::size_t kill = kills.index(events.size() + 1);
+
+    StreamEngine whole{DynamicGraph(kNodes)};
+    TemporalViewObserver whole_view(kNodes, kHorizon);
+    whole.attach(&whole_view);
+    QueryBroker whole_broker(whole, &whole_view);
+    whole_broker.apply_events(stream);
+
+    StreamEngine head{DynamicGraph(kNodes)};
+    head.apply_batch(stream.first(kill));
+    std::stringstream checkpoint;
+    write_checkpoint(checkpoint, head);
+    CheckpointResult restored = read_checkpoint(checkpoint);
+    ASSERT_TRUE(restored) << restored.error;
+    TemporalViewObserver view(kNodes, kHorizon);
+    restored.engine->attach(&view);
+    QueryBroker broker(*restored.engine, &view);
+    broker.apply_events(stream.subspan(kill));
+
+    ASSERT_EQ(view.view(), whole_view.view())
+        << "seed " << seed << " kill " << kill;
+    ASSERT_EQ(view.out_of_horizon(), whole_view.out_of_horizon())
+        << "seed " << seed << " kill " << kill;
+
+    std::vector<Query> probes;
+    const auto n = static_cast<VertexId>(view.view().vertex_count());
+    for (VertexId s = 0; s < n; ++s) {
+      const auto target = static_cast<VertexId>((s * 7 + 5) % n);
+      const auto t_start = static_cast<TimeUnit>(s % 4);
+      probes.emplace_back(TemporalDistancesQuery{s, t_start});
+      probes.emplace_back(MinHopJourneyQuery{s, target, t_start});
+      probes.emplace_back(FastestJourneyQuery{s, target, t_start});
+    }
+    const std::vector<QueryPayload> got = serve_all(broker, probes);
+    const std::vector<QueryPayload> want = serve_all(whole_broker, probes);
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      EXPECT_TRUE(payload_equal(got[i], want[i]))
+          << "seed " << seed << " kill " << kill << " probe " << i;
+    }
+  }
 }
 
 // ---------------------------------------------- accounting regressions

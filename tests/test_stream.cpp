@@ -222,9 +222,12 @@ TEST(ReplayTest, ContactEventsRebuildTheTemporalView) {
   EXPECT_EQ(stats.accepted, events.size());
   EXPECT_EQ(stats.batches, (events.size() + 31) / 32);
 
-  const TemporalGraph rebuilt = TemporalGraph::from_contacts(
-      mob.nodes, static_cast<TimeUnit>(mob.steps), view.contact_log());
-  EXPECT_EQ(view.view(), rebuilt);
+  // A second view attached after the replay rebuilds from the engine's
+  // event log and lands on the incrementally maintained one.
+  TemporalViewObserver late(mob.nodes, static_cast<TimeUnit>(mob.steps));
+  engine.attach(&late);
+  EXPECT_EQ(view.view(), late.view());
+  EXPECT_EQ(view.out_of_horizon(), late.out_of_horizon());
   // Same multiset of contacts as the offline extraction.
   auto offline = contacts_from_trajectory(trajectory, 0.2).contacts();
   auto streamed = view.view().contacts();
@@ -251,6 +254,13 @@ TEST(TemporalViewObserverTest, TrimCacheInvalidatesLazily) {
   engine.apply(Event::contact_add(0, 5, 99));
   EXPECT_EQ(view.out_of_horizon(), 1u);
   EXPECT_TRUE(view.trim_cache_valid());
+  // Events that leave the view as it was keep the cache: a duplicate
+  // add, and a relabel of a missing label onto a present one.
+  engine.apply(Event::contact_add(4, 3, 4));
+  engine.apply(Event::contact_relabel(3, 4, 7, 4));
+  EXPECT_TRUE(view.trim_cache_valid());
+  engine.apply(Event::contact_relabel(3, 4, 4, 5));
+  EXPECT_FALSE(view.trim_cache_valid());
 }
 
 TEST(CoreObserverTest, TracksSimplePromotionsAndDemotions) {
@@ -359,6 +369,8 @@ TEST(StreamChurnTest, IncrementalMatchesRecomputeForEveryObserver) {
     TemporalViewObserver fresh_view = view;
     fresh_view.recompute(g);
     ASSERT_EQ(view.view(), fresh_view.view()) << "batch " << b;
+    ASSERT_EQ(view.out_of_horizon(), fresh_view.out_of_horizon())
+        << "batch " << b;
   }
   EXPECT_GE(generated, 1000u);
   EXPECT_GT(engine.accepted(), 0u);
