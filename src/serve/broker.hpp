@@ -241,8 +241,16 @@ class QueryBroker final : public StreamObserver {
   void dispatch_loop();
   /// Validity gate: nullopt when servable, else the reject cause.
   std::optional<RejectCause> validate(const Query& query) const;
+  /// Kernel scratch of one worker slot: the scalar kernels' workspace
+  /// and the lane-packed sweeps' (a lone FastestJourney runs as a
+  /// one-lane block).
+  struct Scratch {
+    TemporalWorkspace scalar;
+    MultiSourceWorkspace lanes;
+  };
+
   /// Executes one query against the epoch-shared snapshots.
-  QueryPayload execute_payload(const Query& query, TemporalWorkspace& ws);
+  QueryPayload execute_payload(const Query& query, Scratch& scratch);
   void resolve(Pending& pending, QueryResult result, Clock::time_point now);
 
   StreamEngine& engine_;
@@ -268,10 +276,7 @@ class QueryBroker final : public StreamObserver {
   std::optional<Graph> graph_;            // shared same-epoch static graph
   std::uint64_t graph_epoch_ = 0;
   bool graph_valid_ = false;
-  std::vector<TemporalWorkspace> workspaces_;  // one per worker slot
-  /// Multi-source scratch for lane-packed plans, pooled per worker slot
-  /// exactly like workspaces_.
-  std::vector<MultiSourceWorkspace> ms_workspaces_;
+  std::vector<Scratch> scratch_;  // one per worker slot
 
   // -- metrics + cache. Counters/gauges/histograms are lock-free
   //    registry metrics; serve_mu_ only guards the cache *structure*

@@ -21,18 +21,14 @@ DeltaCsrObserver::DeltaCsrObserver(const TemporalViewObserver& view,
 }
 
 void DeltaCsrObserver::count_appends(std::uint64_t n) {
-  if (n == 0) return;
-  appends_ += n;
-  if (appends_counter_ != nullptr) appends_counter_->add(n);
+  if (n != 0 && appends_counter_ != nullptr) appends_counter_->add(n);
 }
 
 void DeltaCsrObserver::rebase_from_view(bool is_compaction) {
   index_.rebase(view_.view());
-  ++builds_;
   if (builds_counter_ != nullptr) builds_counter_->add();
-  if (is_compaction) {
-    ++compactions_;
-    if (compactions_counter_ != nullptr) compactions_counter_->add();
+  if (is_compaction && compactions_counter_ != nullptr) {
+    compactions_counter_->add();
   }
 }
 

@@ -19,8 +19,9 @@
 // a current full base, e.g. for routing simulation) and reports whether
 // a compaction happened. Counters (<prefix>.csr_delta_appends /
 // <prefix>.csr_compactions / <prefix>.csr_builds) land in the registry
-// the owner provides — the QueryBroker passes its own registry with
-// prefix "serve" so they surface next to the serving metrics.
+// the owner provides, their only surface (without a registry nothing
+// is counted) — the QueryBroker passes its own registry with prefix
+// "serve" so they surface next to the serving metrics.
 #pragma once
 
 #include <cstdint>
@@ -62,10 +63,6 @@ class DeltaCsrObserver : public StreamObserver {
   /// delta is non-empty. Returns true iff a compaction ran.
   bool advance(bool force_full_base = false);
 
-  std::uint64_t delta_appends() const { return appends_; }
-  std::uint64_t compactions() const { return compactions_; }
-  std::uint64_t builds() const { return builds_; }
-
  private:
   void count_appends(std::uint64_t n);
   void rebase_from_view(bool is_compaction);
@@ -73,7 +70,6 @@ class DeltaCsrObserver : public StreamObserver {
   const TemporalViewObserver& view_;
   DeltaTemporalCsr index_;
   double compact_ratio_;
-  std::uint64_t appends_ = 0, compactions_ = 0, builds_ = 0;
   obs::Counter* appends_counter_ = nullptr;
   obs::Counter* compactions_counter_ = nullptr;
   obs::Counter* builds_counter_ = nullptr;

@@ -6,7 +6,8 @@
 //   * csr_earliest_arrival_batch — up to 64 earliest-arrival sources
 //     (all-pairs callers, the broker's TemporalDistances lanes);
 //   * csr_fastest_departure_batch — up to 64 (source, target, t_start)
-//     fastest-journey profiles (the broker's FastestJourney lanes).
+//     fastest-journey profiles: the one fastest-journey kernel (the
+//     broker's FastestJourney lanes; a lone query is a one-lane block).
 //
 // Earliest arrival: lane layout. Lane l of a batch is source
 // sources[l]. Per vertex the workspace keeps one 64-bit reached word
@@ -33,18 +34,19 @@
 // iff some still-pending vertex w has a contact at t with a neighbor
 // whose word carries a bit w lacks (`word(nbr) & ~word(w) != 0`).
 //
-// Fastest departure: shared union-find. The scalar profile kernel
+// Fastest departure: shared union-find. A one-pass profile sweep
+// (temporal_kernels.hpp argues why one pass finds the minimum span)
 // spends its time building each unit's union-find over the unit's
 // edges; the resulting components are a property of the snapshot, not
-// of the query. The batch kernel builds each unit's union-find ONCE and
-// gives every lane its own lanes-strided departure row (the scalar
-// kernel's per-vertex "latest departure that has arrived by now").
-// Per lane it is bit-identical to csr_fastest_departure:
+// of the query. The kernel builds each unit's union-find ONCE and gives
+// every lane its own lanes-strided departure row (per vertex, the
+// latest departure that has arrived by now). Each lane's result equals
+// its one-lane run, whatever block it shares:
 //   * component membership does not depend on union order, and a
 //     component's value is the max over its members, so merging a
 //     lane's rows lane-wise into the root and copying the root row back
-//     to every member evolves each lane's row exactly like the scalar
-//     union-and-propagate loop;
+//     to every member gives every member the component's latest
+//     departure, lane by lane;
 //   * a lane's source contributes "depart now" only from that lane's
 //     own t_start on (before it the lane's row is empty and stays
 //     empty), so one block mixes t_starts and the sweep starts at the
@@ -52,6 +54,8 @@
 //   * a lane records a candidate span only when its target's departure
 //     strictly improves, and stops recording once it reaches span 0;
 //     the sweep ends when every lane is done or at the horizon.
+// The span equals legacy::fastest_journey's (journeys.hpp), the oracle
+// the tests check every lane against.
 //
 // Works on both index types (TemporalCsr and DeltaTemporalCsr) through
 // the shared kernel iteration contract. Callers shard all-pairs loops
@@ -247,8 +251,7 @@ void csr_earliest_arrival_batch(const DeltaTemporalCsr& csr,
                                 TimeUnit t_start, MultiSourceWorkspace& ws,
                                 bool record_via = false);
 
-/// One lane of a fastest-departure batch: the arguments of one scalar
-/// csr_fastest_departure call.
+/// One lane of a fastest-departure batch: one fastest-journey query.
 struct FastestLane {
   VertexId source = kInvalidVertex;
   VertexId target = kInvalidVertex;
@@ -257,12 +260,13 @@ struct FastestLane {
 
 /// Fastest-journey departure profiles for up to kMaxLanes lanes in ONE
 /// ascending pass over the contact stream, each time unit's union-find
-/// built once and shared by every lane. Entry l of the result is
-/// bit-identical to csr_fastest_departure(csr, lanes[l].source,
-/// lanes[l].target, lanes[l].t_start, ...): the (departure, arrival)
-/// pair of a span-minimal journey, std::nullopt when unreachable.
-/// Lanes may repeat and may mix t_starts (t_start >= horizon included).
-/// Requires 1 <= lanes.size() <= kMaxLanes and source != target.
+/// built once and shared by every lane. Entry l of the result is the
+/// (departure, arrival) pair of a span-minimal lanes[l].source ->
+/// lanes[l].target journey departing at or after lanes[l].t_start,
+/// std::nullopt when unreachable — bit-identical to the one-lane run of
+/// lanes[l]. Lanes may repeat and may mix t_starts (t_start >= horizon
+/// included). Requires 1 <= lanes.size() <= kMaxLanes and
+/// source != target.
 std::vector<std::optional<std::pair<TimeUnit, TimeUnit>>>
 csr_fastest_departure_batch(const TemporalCsr& csr,
                             std::span<const FastestLane> lanes,

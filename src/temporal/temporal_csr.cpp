@@ -5,6 +5,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "temporal/multi_source.hpp"
 #include "temporal/temporal_kernels.hpp"
 
 namespace structnet {
@@ -137,12 +138,10 @@ void TemporalWorkspace::bind(std::size_t n) {
   stamp_.assign(n_, 0);
   arrival_.assign(n_, 0);
   via_.assign(n_, JourneyHop{});
-  vertex_tick_.assign(n_, 0);
   value_tick_.assign(n_, 0);
   value_.assign(n_, 0);
   value_edge_.assign(n_, 0);
   hop_cand_.assign(n_, JourneyHop{});
-  parent_.assign(n_, 0);
 }
 
 EarliestArrival TemporalWorkspace::to_earliest_arrival() const {
@@ -182,13 +181,10 @@ void csr_earliest_arrival(const TemporalCsr& csr, VertexId source,
 
 std::optional<std::pair<TimeUnit, TimeUnit>> csr_fastest_departure(
     const TemporalCsr& csr, VertexId source, VertexId target, TimeUnit t_start,
-    TemporalWorkspace& ws) {
-  STRUCTNET_OBS_SPAN("temporal.csr_fastest_departure");
-  static obs::Counter& calls = obs::MetricsRegistry::global().counter(
-      "temporal.csr_fastest_departure_calls");
-  calls.add();
-  return detail::WorkspaceOps::fastest_departure(csr, source, target, t_start,
-                                                 ws);
+    TemporalWorkspace&) {
+  MultiSourceWorkspace ws;
+  const FastestLane lane{source, target, t_start};
+  return csr_fastest_departure_batch(csr, {&lane, 1}, ws).front();
 }
 
 std::optional<Journey> csr_minimum_hop_journey(const TemporalCsr& csr,

@@ -55,7 +55,7 @@
 // For churny callers the intended pattern is no longer rebuild-per-
 // mutation: DeltaTemporalCsr (temporal_delta.hpp) wraps an immutable
 // base TemporalCsr plus compact sorted delta arrays, absorbs
-// add_contact/remove_label in O(log delta) each, serves the same three
+// add_contact/remove_label in O(log delta) each, serves the same
 // kernels bit-identically through a merged base+delta view, and folds
 // the delta into a fresh base only when a size-ratio compaction policy
 // triggers. Build-once-per-analysis remains the right pattern for
@@ -65,7 +65,9 @@
 // The kernels themselves are templates over the index (internal header
 // temporal_kernels.hpp, instantiated for TemporalCsr here and for
 // DeltaTemporalCsr in temporal_delta.cpp); the public csr_* functions
-// below are the TemporalCsr instantiations.
+// below are the TemporalCsr instantiations. Fastest journeys have one
+// kernel, the lane-packed csr_fastest_departure_batch
+// (multi_source.hpp); csr_fastest_departure below runs it on one lane.
 #pragma once
 
 #include <algorithm>
@@ -259,17 +261,15 @@ class TemporalWorkspace {
   std::uint64_t epoch_ = 0, tick_ = 0;
   std::size_t reached_ = 0;
   std::vector<std::uint64_t> stamp_;       // arrival_/via_ valid markers
-  std::vector<TimeUnit> arrival_;          // n (also: best departure / ready)
+  std::vector<TimeUnit> arrival_;          // n (also: min-hop ready)
   std::vector<JourneyHop> via_;            // n
-  std::vector<std::uint64_t> vertex_tick_;  // n, per-time-unit marks
-  std::vector<std::uint64_t> value_tick_;   // n, layer/root value marks
-  std::vector<TimeUnit> value_;             // n (next_ready / comp best)
-  std::vector<EdgeId> value_edge_;          // n, via tie-break edge ids
-  std::vector<JourneyHop> hop_cand_;        // n, candidate via hops
-  std::vector<VertexId> parent_;            // n, per-unit union-find
+  std::vector<std::uint64_t> value_tick_;  // n, min-hop layer marks
+  std::vector<TimeUnit> value_;            // n, min-hop next_ready
+  std::vector<EdgeId> value_edge_;         // n, via tie-break edge ids
+  std::vector<JourneyHop> hop_cand_;       // n, candidate via hops
   // seeds_: EA unreached list / min-hop frontier; newly_: vertices
-  // improved this layer; touched_: per-unit union-find lazy-init log.
-  std::vector<VertexId> seeds_, newly_, touched_;
+  // improved this layer.
+  std::vector<VertexId> seeds_, newly_;
   std::vector<EdgeId> local_edges_;        // EA per-unit live re-scan list
   // Sparse per-layer via records for min-hop reconstruction: layer k is
   // via_flat_[layer_off_[k] .. layer_off_[k + 1]), sorted by vertex.
@@ -294,14 +294,11 @@ void csr_earliest_arrival(const TemporalCsr& csr, VertexId source,
                           TimeUnit t_start, TemporalWorkspace& ws,
                           VertexId stop_at = kInvalidVertex);
 
-/// All-departure-times arrival profile: one chronological pass over the
-/// contact stream computing, per vertex, the latest possible departure
-/// of any source journey that has arrived by "now". Returns the
-/// (departure, arrival) pair of a span-minimal source -> target journey
-/// departing at or after t_start (std::nullopt when unreachable) — the
-/// single-pass replacement for legacy fastest_journey's one full
-/// earliest-arrival sweep per candidate departure time. Requires
-/// source != target.
+/// The (departure, arrival) pair of a span-minimal source -> target
+/// journey departing at or after t_start (std::nullopt when
+/// unreachable): a one-lane csr_fastest_departure_batch
+/// (multi_source.hpp) over a call-local workspace. The TemporalWorkspace
+/// is unused. Requires source != target.
 std::optional<std::pair<TimeUnit, TimeUnit>> csr_fastest_departure(
     const TemporalCsr& csr, VertexId source, VertexId target, TimeUnit t_start,
     TemporalWorkspace& ws);

@@ -279,17 +279,6 @@ void csr_earliest_arrival(const DeltaTemporalCsr& csr, VertexId source,
   detail::WorkspaceOps::earliest_arrival(csr, source, t_start, ws, stop_at);
 }
 
-std::optional<std::pair<TimeUnit, TimeUnit>> csr_fastest_departure(
-    const DeltaTemporalCsr& csr, VertexId source, VertexId target,
-    TimeUnit t_start, TemporalWorkspace& ws) {
-  STRUCTNET_OBS_SPAN("temporal.csr_fastest_departure");
-  static obs::Counter& calls = obs::MetricsRegistry::global().counter(
-      "temporal.csr_fastest_departure_calls");
-  calls.add();
-  return detail::WorkspaceOps::fastest_departure(csr, source, target, t_start,
-                                                 ws);
-}
-
 std::optional<Journey> csr_minimum_hop_journey(const DeltaTemporalCsr& csr,
                                                VertexId source,
                                                VertexId target,

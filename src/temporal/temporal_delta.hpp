@@ -24,8 +24,8 @@
 // added labels never collide with live base labels (re-adding a
 // tombstoned contact resurrects it instead), the merged sequence is
 // exactly the edge-id-ascending order a fresh TemporalCsr would emit —
-// so the three kernels (see temporal_kernels.hpp) produce bit-identical
-// arrivals, via hops, and journeys at any thread count.
+// so every kernel (see temporal_kernels.hpp) produces bit-identical
+// arrivals, via hops, departures and journeys at any thread count.
 //
 // Compaction. Reads cost O(log delta) extra per probe, so once the
 // delta outgrows a configurable fraction of the base the owner should
@@ -345,18 +345,16 @@ class DeltaTemporalCsr {
   std::vector<std::vector<EdgeId>> tadd_, tdel_;  // per unit, ascending
 };
 
-/// The three temporal-path kernels over the merged base+delta view —
-/// bit-identical to running the TemporalCsr overloads on a fresh
-/// rebuild of the mutated graph. The min-hop kernel's target check
-/// reads the merged adjacency in ascending edge id too, so a
-/// delta-created last hop (a larger id) loses a label tie to a base
-/// one exactly as on the rebuild.
+/// The earliest-arrival and min-hop kernels over the merged base+delta
+/// view — bit-identical to running the TemporalCsr overloads on a fresh
+/// rebuild of the mutated graph (fastest journeys run through the
+/// lane-packed csr_fastest_departure_batch, multi_source.hpp). The
+/// min-hop kernel's target check reads the merged adjacency in
+/// ascending edge id too, so a delta-created last hop (a larger id)
+/// loses a label tie to a base one exactly as on the rebuild.
 void csr_earliest_arrival(const DeltaTemporalCsr& csr, VertexId source,
                           TimeUnit t_start, TemporalWorkspace& ws,
                           VertexId stop_at = kInvalidVertex);
-std::optional<std::pair<TimeUnit, TimeUnit>> csr_fastest_departure(
-    const DeltaTemporalCsr& csr, VertexId source, VertexId target,
-    TimeUnit t_start, TemporalWorkspace& ws);
 std::optional<Journey> csr_minimum_hop_journey(const DeltaTemporalCsr& csr,
                                                VertexId source,
                                                VertexId target,

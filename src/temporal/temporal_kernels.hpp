@@ -21,8 +21,10 @@
 // Ascending-edge-id iteration is the load-bearing requirement: it is
 // what makes the same-unit closure fire in the legacy sequence and the
 // min-hop (label, edge id) tie-breaks resolve identically on every
-// index. Included only by temporal_csr.cpp / temporal_delta.cpp /
-// multi_source.cpp.
+// index. Earliest arrival has a scalar and a lane-packed body; fastest
+// departure has only the lane-packed one (a single query is a one-lane
+// block); minimum hop is scalar. Included only by temporal_csr.cpp /
+// temporal_delta.cpp / multi_source.cpp.
 #pragma once
 
 #include <algorithm>
@@ -52,10 +54,6 @@ struct WorkspaceOps {
                                      std::span<const VertexId> sources,
                                      TimeUnit t_start, MultiSourceWorkspace& ws,
                                      bool record_via);
-  template <class Index>
-  static std::optional<std::pair<TimeUnit, TimeUnit>> fastest_departure(
-      const Index& csr, VertexId source, VertexId target, TimeUnit t_start,
-      TemporalWorkspace& ws);
   template <class Index>
   static std::vector<std::optional<std::pair<TimeUnit, TimeUnit>>>
   fastest_departure_batch(const Index& csr, std::span<const FastestLane> lanes,
@@ -297,91 +295,24 @@ void WorkspaceOps::earliest_arrival_batch(const Index& csr,
   }
 }
 
-template <class Index>
-std::optional<std::pair<TimeUnit, TimeUnit>> WorkspaceOps::fastest_departure(
-    const Index& csr, VertexId source, VertexId target, TimeUnit t_start,
-    TemporalWorkspace& ws) {
-  assert(source < csr.vertex_count() && target < csr.vertex_count());
-  assert(source != target);
-  ws.bind(csr.vertex_count());
-  ws.begin_sweep();
-  ws.reached_ = 0;
-
-  // Profile state, per vertex x: arrival_[x] (epoch-stamped) holds the
-  // latest departure d(x) such that some journey source -> x departing
-  // at d(x) >= t_start has arrived by the time unit being processed.
-  // Each unit merges d() over the unit's snapshot components (union-
-  // find, values on roots), with the source contributing "depart now".
-  // Whenever d(target) strictly improves to d at unit t, a journey
-  // departing at d arrives exactly at t, so t - d is a candidate span;
-  // the minimum over these events is the fastest-journey span.
-  std::optional<std::pair<TimeUnit, TimeUnit>> best;
-  TimeUnit best_span = kNeverTime;
-
-  for (TimeUnit t = t_start; t < csr.horizon(); ++t) {
-    if (csr.unit_size(t) == 0) continue;
-    const std::uint64_t tick = ws.next_tick();
-    ws.touched_.clear();
-
-    // find() with per-unit lazy init: a fresh vertex becomes its own
-    // root carrying its current d() (the source contributes t, which
-    // dominates any earlier departure it may hold).
-    const auto find = [&](VertexId x) {
-      if (ws.vertex_tick_[x] != tick) {
-        ws.vertex_tick_[x] = tick;
-        ws.parent_[x] = x;
-        ws.touched_.push_back(x);
-        if (x == source) {
-          ws.value_tick_[x] = tick;
-          ws.value_[x] = t;
-        } else if (ws.stamp_[x] == ws.epoch_) {
-          ws.value_tick_[x] = tick;
-          ws.value_[x] = ws.arrival_[x];
-        }
-      }
-      while (ws.parent_[x] != x) {
-        ws.parent_[x] = ws.parent_[ws.parent_[x]];
-        x = ws.parent_[x];
-      }
-      return x;
-    };
-
-    csr.for_each_edge_at(t, [&](EdgeId e) {
-      const VertexId ru = find(csr.edge_u(e)), rv = find(csr.edge_v(e));
-      if (ru == rv) return true;
-      ws.parent_[ru] = rv;
-      if (ws.value_tick_[ru] == tick &&
-          (ws.value_tick_[rv] != tick || ws.value_[ru] > ws.value_[rv])) {
-        ws.value_tick_[rv] = tick;
-        ws.value_[rv] = ws.value_[ru];
-      }
-      return true;
-    });
-
-    for (VertexId x : ws.touched_) {
-      const VertexId r = find(x);
-      if (ws.value_tick_[r] != tick) continue;
-      const TimeUnit d = ws.value_[r];
-      if (ws.stamp_[x] == ws.epoch_ && ws.arrival_[x] >= d) continue;
-      ws.stamp_[x] = ws.epoch_;
-      ws.arrival_[x] = d;
-      if (x == target) {
-        const TimeUnit span = t - d;
-        if (span < best_span) {
-          best_span = span;
-          best = {d, t};
-        }
-      }
-    }
-    if (best_span == 0) break;
-  }
-  return best;
-}
-
-// The lane-packed replay of fastest_departure: each unit's union-find is
-// built once for every lane, then each lane's departure rows merge
-// lane-wise into the component roots and copy back out to the members
-// (see multi_source.hpp for why that is the scalar loop, per lane).
+// Fastest-journey departure profiles, one chronological pass for up to
+// kMaxLanes lanes. Profile state, per lane l and vertex x: row(x)[l]
+// holds d + 1 for the latest departure d >= lanes[l].t_start such that
+// some journey source -> x departing at d has arrived by the time unit
+// being processed (0 = none has). Each unit merges the rows over the
+// unit's snapshot components — the union-find is built once for every
+// lane, rows merge lane-wise into the roots and copy back out to the
+// members — with a live lane's source contributing "depart now". Within
+// a unit a message crosses any number of contacts, so a component's
+// members all hold the component's latest departure afterwards. One pass
+// is exact: whenever a lane's target row strictly improves to d at unit
+// t, a journey departing at d arrives exactly at t, so t - d is a
+// candidate span. A unit that leaves the row at d offers nothing new:
+// the journey departing at d already arrived at an earlier unit, with a
+// shorter span. So the minimum over the strict improvements is the
+// fastest-journey span.
+// Lanes share only the union-find, which depends on the unit alone, so
+// every lane's result equals its one-lane run (multi_source.hpp).
 template <class Index>
 std::vector<std::optional<std::pair<TimeUnit, TimeUnit>>>
 WorkspaceOps::fastest_departure_batch(const Index& csr,
@@ -405,8 +336,8 @@ WorkspaceOps::fastest_departure_batch(const Index& csr,
     best_span[l] = kNeverTime;
     t_first = std::min(t_first, lanes[l].t_start);
   }
-  // Lanes still recording candidates: a lane at span 0 is done (the
-  // scalar loop breaks there).
+  // Lanes still recording candidates: a lane at span 0 is done (no
+  // later candidate can be shorter).
   std::uint64_t open = count == kMaxLanes ? ~std::uint64_t{0}
                                           : (std::uint64_t{1} << count) - 1;
   auto& uf = ws.uf_;

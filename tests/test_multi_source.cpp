@@ -4,11 +4,13 @@
 // counts, duplicate sources, late/beyond-horizon starts, isolated
 // vertices, the delta overlay (including across a compaction
 // boundary), and workspace reuse across indexes. Every lane of
-// csr_fastest_departure_batch must equal csr_fastest_departure on a
-// fresh TemporalCsr — across ragged lane counts with mixed t_starts,
-// unreachable targets, duplicate lanes, lanes finishing early, and the
-// delta overlay. The converted all-pairs callers must be bit-identical
-// at 1/2/8 threads and to scalar reference loops.
+// csr_fastest_departure_batch must equal its one-lane run on a fresh
+// TemporalCsr and match legacy::fastest_journey in presence and span,
+// with a materialized journey that realizes its (departure, arrival)
+// pair — across ragged lane counts with mixed t_starts, unreachable
+// targets, duplicate lanes, lanes finishing early, and the delta
+// overlay. The converted all-pairs callers must be bit-identical at
+// 1/2/8 threads and to scalar reference loops.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -229,24 +231,45 @@ std::vector<FastestLane> random_fastest_lanes(Rng& rng, std::size_t n,
   return lanes;
 }
 
-/// Asserts each lane of one fastest batch equals the scalar kernel run
-/// on `fresh` (a TemporalCsr built from the same contact set).
+/// Asserts each lane of one fastest batch over `csr` (an index holding
+/// exactly eg's contacts) (a) equals, pair for pair, the one-lane run
+/// of the same query on a fresh TemporalCsr of eg, so neither block
+/// composition nor the delta overlay can change a result, and (b)
+/// matches legacy::fastest_journey in presence and span, with the
+/// journey materialized from the lane's departure valid for eg and
+/// realizing its (departure, arrival) pair exactly.
 template <class Index>
 void expect_fastest_lanes_match_scalar(const Index& csr,
-                                       const TemporalCsr& fresh,
+                                       const TemporalGraph& eg,
                                        const std::vector<FastestLane>& lanes,
                                        MultiSourceWorkspace& ws) {
   const auto got =
       csr_fastest_departure_batch(csr, {lanes.data(), lanes.size()}, ws);
   ASSERT_EQ(got.size(), lanes.size());
-  TemporalWorkspace scalar;
+  const TemporalCsr fresh(eg);
+  MultiSourceWorkspace one_lane;
+  TemporalWorkspace sweep;
   for (std::size_t l = 0; l < lanes.size(); ++l) {
-    const auto want = csr_fastest_departure(fresh, lanes[l].source,
-                                            lanes[l].target, lanes[l].t_start,
-                                            scalar);
-    ASSERT_EQ(got[l], want) << "lane=" << l << " source=" << lanes[l].source
-                            << " target=" << lanes[l].target
-                            << " t_start=" << lanes[l].t_start;
+    const FastestLane& lane = lanes[l];
+    const auto want = csr_fastest_departure_batch(fresh, {&lane, 1}, one_lane);
+    ASSERT_EQ(got[l], want.front())
+        << "lane=" << l << " source=" << lane.source
+        << " target=" << lane.target << " t_start=" << lane.t_start;
+
+    const auto oracle =
+        legacy::fastest_journey(eg, lane.source, lane.target, lane.t_start);
+    ASSERT_EQ(got[l].has_value(), oracle.has_value()) << "lane=" << l;
+    if (!oracle) continue;
+    const auto [d, a] = *got[l];
+    ASSERT_EQ(a - d, oracle->span()) << "lane=" << l;
+    csr_earliest_arrival(fresh, lane.source, d, sweep, lane.target);
+    ASSERT_NE(sweep.arrival(lane.target), kNeverTime) << "lane=" << l;
+    const Journey j = sweep.journey(lane.source, lane.target);
+    ASSERT_FALSE(j.empty()) << "lane=" << l;
+    EXPECT_TRUE(j.valid_for(eg)) << "lane=" << l;
+    EXPECT_GE(d, lane.t_start) << "lane=" << l;
+    EXPECT_EQ(j.hops.front().t, d) << "lane=" << l;
+    EXPECT_EQ(j.hops.back().t, a) << "lane=" << l;
   }
 }
 
@@ -266,7 +289,7 @@ TEST(MultiSourceFastest, RaggedLaneCountsWithMixedStartsMatchScalar) {
       if (lane.target >= eg.vertex_count() - 5) ++unreachable;
       if (lane.t_start >= eg.horizon()) ++beyond_horizon;
     }
-    expect_fastest_lanes_match_scalar(csr, csr, lanes, ws);
+    expect_fastest_lanes_match_scalar(csr, eg, lanes, ws);
   }
   // The shapes the sweep must cope with really occurred.
   EXPECT_GT(unreachable, 0u);
@@ -293,7 +316,7 @@ TEST(MultiSourceFastest, DuplicateLanesAndEarlyFinisherMatchScalar) {
       {0, 1, 3},  // starts after its only contact
   };
   MultiSourceWorkspace ws;
-  expect_fastest_lanes_match_scalar(csr, csr, lanes, ws);
+  expect_fastest_lanes_match_scalar(csr, eg, lanes, ws);
   const auto got =
       csr_fastest_departure_batch(csr, {lanes.data(), lanes.size()}, ws);
   using Departure = std::optional<std::pair<TimeUnit, TimeUnit>>;
@@ -317,7 +340,7 @@ TEST(MultiSourceFastest, RandomizedSeedsMatchScalar) {
     MultiSourceWorkspace ws;
     const std::size_t count = 1 + rng.index(MultiSourceWorkspace::kMaxLanes);
     expect_fastest_lanes_match_scalar(
-        csr, csr, random_fastest_lanes(rng, n, eg.horizon(), count), ws);
+        csr, eg, random_fastest_lanes(rng, n, eg.horizon(), count), ws);
   }
 }
 
@@ -360,14 +383,12 @@ TEST(MultiSourceFastest, DeltaOverlayMatchesFreshAcrossCompaction) {
       live.insert(key(u, v, t));
       delta.add_contact(u, v, t);
     }
-    const TemporalCsr fresh(rebuild());
     const auto lanes = random_fastest_lanes(rng, kN, kHorizon, 24 + 8 * round);
-    expect_fastest_lanes_match_scalar(delta, fresh, lanes, ws);
+    expect_fastest_lanes_match_scalar(delta, rebuild(), lanes, ws);
   }
   delta.rebase(rebuild());  // compaction boundary
-  const TemporalCsr fresh(rebuild());
   expect_fastest_lanes_match_scalar(
-      delta, fresh,
+      delta, rebuild(),
       random_fastest_lanes(rng, kN, kHorizon, MultiSourceWorkspace::kMaxLanes),
       ws);
 }
@@ -382,10 +403,10 @@ TEST(MultiSourceWorkspaceTest, FastestAndEarliestArrivalShareAWorkspace) {
   // other's leftover rows as its own.
   expect_lanes_match_scalar(csr, sources, 0, ws, /*record_via=*/true);
   expect_fastest_lanes_match_scalar(
-      csr, csr, random_fastest_lanes(rng, 40, eg.horizon(), 33), ws);
+      csr, eg, random_fastest_lanes(rng, 40, eg.horizon(), 33), ws);
   expect_lanes_match_scalar(csr, sources, 2, ws, /*record_via=*/true);
   expect_fastest_lanes_match_scalar(
-      csr, csr, random_fastest_lanes(rng, 40, eg.horizon(), 7), ws);
+      csr, eg, random_fastest_lanes(rng, 40, eg.horizon(), 7), ws);
 }
 
 TEST(MultiSourceCallers, AllPairsKernelsThreadCountInvariant) {

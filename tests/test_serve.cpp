@@ -1359,6 +1359,68 @@ TEST(QueryBrokerLanePack, CountersReflectExactPlan) {
   EXPECT_EQ(counter(broker, "serve.executed"), 13u);
 }
 
+/// Five distinct queries, then each again, all in one batch: the
+/// second instance of a cacheable query is an in-batch duplicate.
+std::vector<QueryResult> duplicate_run(std::size_t cache_bytes,
+                                       std::size_t threads,
+                                       std::uint64_t* evictions = nullptr) {
+  ServeRig rig(21);
+  BrokerConfig cfg;
+  cfg.threads = threads;
+  cfg.cache_bytes = cache_bytes;
+  QueryBroker broker(rig.engine, &rig.view, cfg);
+  const std::vector<Query> firsts = {
+      TemporalDistancesQuery{3, 0}, FastestJourneyQuery{0, 5, 0},
+      // Span 7 from t = 2 on, span 2 from t = 0: the start matters.
+      FastestJourneyQuery{2, 11, 2}, FastestJourneyQuery{4, 4, 2},
+      MinHopJourneyQuery{5, 0, 0}};
+  std::vector<std::future<QueryResult>> futures;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const Query& q : firsts) futures.push_back(broker.submit(q));
+  }
+  broker.flush();
+  std::vector<QueryResult> results;
+  for (auto& f : futures) results.push_back(f.get());
+  if (evictions != nullptr) {
+    *evictions = counter(broker, "serve.cache.evictions");
+  }
+  return results;
+}
+
+TEST(QueryBrokerTest, EvictedInBatchDuplicatesRecomputeByteIdentical) {
+  // A one-byte budget evicts every payload as it is inserted, so phase 5
+  // of flush() misses each duplicate's first instance and recomputes the
+  // duplicate on its own: a FastestJourney as a one-lane block where its
+  // first instance ran in a two-lane block, source == target, distances
+  // and min-hop on the scalar kernels.
+  constexpr std::size_t kFirsts = 5;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    std::uint64_t evictions = 0;
+    const auto got = duplicate_run(/*cache_bytes=*/1, threads, &evictions);
+    const auto uncached = duplicate_run(/*cache_bytes=*/0, threads);
+    ASSERT_EQ(got.size(), 2 * kFirsts);
+    ASSERT_EQ(uncached.size(), got.size());
+    EXPECT_GT(evictions, 0u) << "threads=" << threads;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].status, QueryStatus::kOk) << "i=" << i;
+      ASSERT_EQ(uncached[i].status, QueryStatus::kOk) << "i=" << i;
+      EXPECT_FALSE(got[i].from_cache) << "i=" << i;
+      EXPECT_TRUE(payload_equal(got[i].payload, uncached[i].payload))
+          << "i=" << i << " threads=" << threads;
+      if (i >= kFirsts) {
+        EXPECT_TRUE(payload_equal(got[i].payload, got[i - kFirsts].payload))
+            << "i=" << i << " threads=" << threads;
+      }
+    }
+    // The source != target fastest queries really found journeys.
+    for (const std::size_t i : {std::size_t{1}, std::size_t{2}}) {
+      const auto& j = std::get<std::optional<Journey>>(got[i].payload);
+      ASSERT_TRUE(j.has_value()) << "i=" << i;
+      EXPECT_FALSE(j->empty()) << "i=" << i;
+    }
+  }
+}
+
 TEST(QueryBrokerLanePack, TemporalClosenessServedMatchesDirect) {
   ServeRig rig(13);
   BrokerConfig cfg;

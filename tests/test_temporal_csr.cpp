@@ -11,6 +11,7 @@
 #include "parallel/parallel.hpp"
 #include "sim/dtn_routing.hpp"
 #include "temporal/journeys.hpp"
+#include "temporal/multi_source.hpp"
 #include "temporal/temporal_centrality.hpp"
 #include "temporal/smallworld_metrics.hpp"
 #include "temporal/temporal_csr.hpp"
@@ -520,12 +521,14 @@ void expect_delta_layout_equal(const TemporalGraph& eg,
 }
 
 // All three kernels on the delta overlay vs a fresh rebuild, including
-// via hops and journey hops (bit-identity, not just values).
+// via hops and journey hops (bit-identity, not just values). The delta
+// side's fastest departure is a one-lane batch.
 void expect_delta_kernels_equal(const TemporalGraph& eg,
                                 const DeltaTemporalCsr& delta,
                                 TemporalWorkspace& wsa, TemporalWorkspace& wsb,
                                 VertexId source, TimeUnit t_start, Rng& rng) {
   const TemporalCsr fresh(eg);
+  MultiSourceWorkspace lanes;
   csr_earliest_arrival(fresh, source, t_start, wsa);
   csr_earliest_arrival(delta, source, t_start, wsb);
   for (VertexId v = 0; v < eg.vertex_count(); ++v) {
@@ -540,7 +543,8 @@ void expect_delta_kernels_equal(const TemporalGraph& eg,
       target = static_cast<VertexId>((target + 1) % eg.vertex_count());
     }
     if (target == source) continue;
-    ASSERT_EQ(csr_fastest_departure(delta, source, target, t_start, wsb),
+    const FastestLane lane{source, target, t_start};
+    ASSERT_EQ(csr_fastest_departure_batch(delta, {&lane, 1}, lanes).front(),
               csr_fastest_departure(fresh, source, target, t_start, wsa))
         << "fastest s=" << source << " tgt=" << target;
     const auto ja = csr_minimum_hop_journey(fresh, source, target, t_start,
