@@ -18,7 +18,6 @@
 #include "mobility/contact_trace.hpp"
 #include "mobility/edge_markovian.hpp"
 #include "mobility/mobility_models.hpp"
-#include "parallel/parallel.hpp"
 #include "stream/engine.hpp"
 #include "stream/observers.hpp"
 #include "stream/replay.hpp"
@@ -118,17 +117,14 @@ void incremental_vs_naive_table() {
         .emit();
     bench_json_line("stream_naive_recompute", n, naive_ns);
 
-    // Full-recompute sweep across all observers rides the parallel
-    // layer; record the thread-count curve.
-    for (const std::size_t threads : {std::size_t{1}, hardware_threads()}) {
-      BenchJson("stream_recompute_all")
-          .field("n", std::uint64_t(n))
-          .threads(threads)
-          .field("ns_per_op", time_ns_per_op(3, [&](std::size_t) {
-                   benchmark::DoNotOptimize(engine.recompute_all(threads));
-                 }))
-          .emit();
-    }
+    // Full-recompute sweep across all observers (serial, attach order).
+    BenchJson("stream_recompute_all")
+        .field("n", std::uint64_t(n))
+        .threads(1)
+        .field("ns_per_op", time_ns_per_op(3, [&](std::size_t) {
+                 benchmark::DoNotOptimize(engine.recompute_all());
+               }))
+        .emit();
   }
   t.print(std::cout,
           "Streaming engine: incremental core+MIS maintenance vs full "

@@ -341,7 +341,7 @@ void churn_index_maintenance_table() {
       if (op.add) {
         delta.add_contact(op.u, op.v, op.t);
       } else {
-        delta.remove_contact(op.u, op.v, op.t);
+        delta.remove_label(op.u, op.v, op.t);
       }
     }
     const bool compact = delta.needs_compaction(0.25);

@@ -54,6 +54,11 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point from,
                        .count());
 }
 
+/// Delta/base size ratio past which the plan phase compacts the
+/// contact index (DeltaTemporalCsr::needs_compaction, whose absolute
+/// slack of 64 contacts keeps tiny bases from thrashing).
+constexpr double kCompactRatio = 0.25;
+
 /// Span names for the per-query kernel traces, indexed by QueryKind.
 /// Literal pointers: the trace layer borrows, never copies, names.
 constexpr const char* kKernelSpanName[kQueryKindCount] = {
@@ -76,6 +81,9 @@ QueryBroker::Metrics::Metrics(obs::MetricsRegistry& r)
       lanes_packed(r.counter("serve.lanes_packed")),
       sweeps_saved(r.counter("serve.sweeps_saved")),
       fastest_lanes_packed(r.counter("serve.fastest_lanes_packed")),
+      csr_builds(r.counter("serve.csr_builds")),
+      csr_delta_appends(r.counter("serve.csr_delta_appends")),
+      csr_compactions(r.counter("serve.csr_compactions")),
       csr_reuses(r.counter("serve.csr_reuses")),
       graph_builds(r.counter("serve.graph_builds")),
       graph_reuses(r.counter("serve.graph_reuses")),
@@ -104,17 +112,9 @@ QueryBroker::QueryBroker(StreamEngine& engine, TemporalViewObserver* temporal,
       health_(HealthConfig{config.circuit_threshold, config.probe_backoff},
               registry_),
       cache_(config.cache_bytes, &registry_, "serve.cache") {
+  // Attached after the temporal view, so the attach-time recompute()
+  // adopts the view's current state and later events fold behind it.
   engine_.attach(this);
-  if (temporal_ != nullptr) {
-    // Attached after the temporal view (which the owner attached before
-    // constructing the broker), so attach-time recompute() adopts the
-    // view's current state and later events fold behind it. The observer
-    // counts into the broker's registry (serve.csr_builds /
-    // serve.csr_delta_appends / serve.csr_compactions).
-    delta_obs_.emplace(*temporal_, DeltaCsrObserver::kDefaultCompactRatio,
-                       &registry_, "serve");
-    engine_.attach(&*delta_obs_);
-  }
 }
 
 QueryBroker::~QueryBroker() {
@@ -136,7 +136,6 @@ QueryBroker::~QueryBroker() {
   }
   metrics_.rejected_shutdown.add(leftovers.size());
   metrics_.queue_depth.set(0);
-  if (delta_obs_) engine_.detach(&*delta_obs_);
   engine_.detach(this);
 }
 
@@ -186,8 +185,8 @@ std::future<QueryResult> QueryBroker::submit(Query query,
 std::optional<RejectCause> QueryBroker::validate(const Query& query) const {
   const bool temporal = query_is_temporal(query);
   if (temporal && temporal_ == nullptr) return RejectCause::kInvalidArgument;
-  const std::size_t n = temporal ? temporal_->view().vertex_count()
-                                 : engine_.graph().vertex_count();
+  const std::size_t n =
+      temporal ? index_.vertex_count() : engine_.graph().vertex_count();
   const auto in_range = [n](VertexId v) { return v < n; };
   bool ok = true;
   std::visit(
@@ -225,8 +224,7 @@ QueryPayload QueryBroker::execute_payload(const Query& query,
       [&](const auto& q) -> QueryPayload {
         using T = std::decay_t<decltype(q)>;
         if constexpr (std::is_same_v<T, TemporalDistancesQuery>) {
-          csr_earliest_arrival(delta_obs_->index(), q.source, q.t_start,
-                               scratch.scalar);
+          csr_earliest_arrival(index_, q.source, q.t_start, scratch.scalar);
           EarliestArrival ea = scratch.scalar.to_earliest_arrival();
           return QueryPayload(std::move(ea.completion));
         } else if constexpr (std::is_same_v<T, FastestJourneyQuery>) {
@@ -235,17 +233,15 @@ QueryPayload QueryBroker::execute_payload(const Query& query,
           if (q.source == q.target) {
             return QueryPayload(std::optional<Journey>(Journey{}));
           }
-          const DeltaTemporalCsr& index = delta_obs_->index();
           const FastestLane lane{q.source, q.target, q.t_start};
           return fastest_journey_payload(
-              index, q.source, q.target,
-              csr_fastest_departure_batch(index, {&lane, 1}, scratch.lanes)
+              index_, q.source, q.target,
+              csr_fastest_departure_batch(index_, {&lane, 1}, scratch.lanes)
                   .front(),
               scratch.scalar);
         } else if constexpr (std::is_same_v<T, MinHopJourneyQuery>) {
-          return QueryPayload(
-              csr_minimum_hop_journey(delta_obs_->index(), q.source, q.target,
-                                      q.t_start, scratch.scalar));
+          return QueryPayload(csr_minimum_hop_journey(
+              index_, q.source, q.target, q.t_start, scratch.scalar));
         } else if constexpr (std::is_same_v<T, NsfReportQuery>) {
           return QueryPayload(
               nsf_report(*graph_, q.stop_fraction, q.ks_threshold, 1));
@@ -255,7 +251,7 @@ QueryPayload QueryBroker::execute_payload(const Query& query,
             // planner may not have materialized for a temporal-only
             // batch). Internally an all-sources lane-packed sweep;
             // serial like every per-query kernel.
-            return QueryPayload(temporal_closeness(delta_obs_->index(), 1));
+            return QueryPayload(temporal_closeness(index_, 1));
           }
           switch (q.measure) {
             case CentralityMeasure::kDegree:
@@ -280,7 +276,7 @@ QueryPayload QueryBroker::execute_payload(const Query& query,
           // The plan phase force-folded the delta for this batch, so the
           // base is the full current index.
           return QueryPayload(simulate_routing_trials(
-              delta_obs_->index().base(), q.source, q.destination, q.t0,
+              index_.base(), q.source, q.destination, q.t0,
               make_strategy(q.strategy), q.initial_copies, faults, q.trials,
               1));
         }
@@ -408,12 +404,20 @@ std::size_t QueryBroker::flush() {
   {
     STRUCTNET_OBS_SPAN("serve.plan");
     if (need_csr) {
-      // Delta-advance planning: the observer has been folding accepted
+      // Delta-advance planning: on_event has been folding accepted
       // contact events all along, so the merged index already sits at
       // this epoch. Only a fired compaction policy — or a routing query,
       // which simulates against the full base — pays a rebuild.
       STRUCTNET_OBS_SPAN("serve.plan.delta_advance");
-      if (!delta_obs_->advance(need_full_csr)) metrics_.csr_reuses.add();
+      if (index_.needs_compaction(kCompactRatio) ||
+          (need_full_csr && !index_.delta_empty())) {
+        STRUCTNET_OBS_SPAN("temporal.delta_compact");
+        index_.rebase(temporal_->view());
+        metrics_.csr_builds.add();
+        metrics_.csr_compactions.add();
+      } else {
+        metrics_.csr_reuses.add();
+      }
     }
     if (need_graph) {
       if (!graph_valid_ || graph_epoch_ != epoch) {
@@ -553,13 +557,11 @@ std::size_t QueryBroker::flush() {
                 // serve.kernel.fastest_journey span times per lone query.
                 STRUCTNET_OBS_SPAN("serve.kernel.fastest_journey_batch");
                 const FastestBlock& block = fastest_blocks[b];
-                const DeltaTemporalCsr& index = delta_obs_->index();
-                const auto departures =
-                    csr_fastest_departure_batch(index, block.lanes,
-                                                scratch.lanes);
+                const auto departures = csr_fastest_departure_batch(
+                    index_, block.lanes, scratch.lanes);
                 for (std::size_t l = 0; l < block.lanes.size(); ++l) {
                   payloads[block.exec[l]] = fastest_journey_payload(
-                      index, block.lanes[l].source, block.lanes[l].target,
+                      index_, block.lanes[l].source, block.lanes[l].target,
                       departures[l], scratch.scalar);
                 }
                 continue;
@@ -569,8 +571,8 @@ std::size_t QueryBroker::flush() {
                                                       block.sources.size());
               {
                 STRUCTNET_OBS_SPAN("serve.kernel.temporal_distances_batch");
-                csr_earliest_arrival_batch(delta_obs_->index(), sources,
-                                           block.t_start, scratch.lanes);
+                csr_earliest_arrival_batch(index_, sources, block.t_start,
+                                           scratch.lanes);
               }
               for (std::size_t l = 0; l < block.sources.size(); ++l) {
                 // completion(l) is the exact bytes the scalar kernel's
@@ -797,10 +799,15 @@ std::size_t QueryBroker::queue_depth() const {
   return queue_.size();
 }
 
-void QueryBroker::on_event(const DynamicGraph& g, const Event& event,
-                           const EventEffect& effect) {
-  (void)event;
-  (void)effect;
+void QueryBroker::on_event(const DynamicGraph& g, const Event&,
+                           const EventEffect&) {
+  if (temporal_ != nullptr) {
+    // The view's own rules, so the merged index stays equal to a fresh
+    // TemporalCsr of the view. Joins grow the index and are not counted.
+    const std::optional<std::size_t> changed =
+        fold_contact_event(index_, g.log().back());
+    if (changed && *changed != 0) metrics_.csr_delta_appends.add(*changed);
+  }
   // The engine advanced: entries below the new epoch can never be hit
   // again (epoch monotonicity), so release their bytes eagerly.
   std::lock_guard<std::mutex> lk(serve_mu_);
@@ -808,8 +815,13 @@ void QueryBroker::on_event(const DynamicGraph& g, const Event& event,
 }
 
 void QueryBroker::recompute(const DynamicGraph& g) {
-  // Attach-time synchronization: nothing derived to rebuild, but any
-  // stale cache entries (attach after churn) are released.
+  // Attach-time (or recompute_all) synchronization: the view, attached
+  // earlier, has already rebuilt, so the index rebases off it (a base
+  // build, not a compaction), and any stale cache entries are released.
+  if (temporal_ != nullptr) {
+    index_.rebase(temporal_->view());
+    metrics_.csr_builds.add();
+  }
   std::lock_guard<std::mutex> lk(serve_mu_);
   cache_.invalidate_before(g.epoch());
 }

@@ -12,10 +12,11 @@
 //                                     hit |   | miss
 //                                         |   v
 //                                         |  batch plan: delta-advance the
-//                                         |  contact index (a DeltaCsrObserver
-//                                         |  folds events as they stream in)
-//                                         |  + ONE materialized Graph per
-//                                         |  epoch, shared by the batch
+//                                         |  broker's contact index (its
+//                                         |  on_event folds events in as
+//                                         |  they stream) + ONE materialized
+//                                         |  Graph per epoch, shared by the
+//                                         |  batch
 //                                         |   v
 //                                         |  lane-pack plan: FastestJourney
 //                                         |  misses -> shared union-find
@@ -46,7 +47,9 @@
 //   * Epoch consistency: every query in a batch executes against the
 //     same epoch E (the engine's epoch at flush), and the result says
 //     so. The broker registers itself as a StreamObserver: each
-//     accepted event invalidates cache entries below the new epoch.
+//     accepted event folds into its contact index (fold_contact_event,
+//     the temporal view's own rules, stream/observers.hpp) and
+//     invalidates cache entries below the new epoch.
 //
 // Threading contract: submit() is safe from any thread. flush() /
 // apply_events() serialize on an internal executor lock; in dispatcher
@@ -71,10 +74,10 @@
 #include "serve/health.hpp"
 #include "serve/query.hpp"
 #include "serve/result_cache.hpp"
-#include "stream/csr_observer.hpp"
 #include "stream/engine.hpp"
 #include "stream/observers.hpp"
 #include "temporal/multi_source.hpp"
+#include "temporal/temporal_delta.hpp"
 
 namespace structnet {
 
@@ -125,10 +128,11 @@ struct SubmitOptions {
 class QueryBroker final : public StreamObserver {
  public:
   /// `temporal` is the engine observer whose TemporalGraph view serves
-  /// temporal queries (may be null: temporal queries then reject).
+  /// temporal queries (may be null: temporal queries then reject). It
+  /// must be attached to `engine` before the broker is constructed.
   /// Neither reference is owned; both must outlive the broker. The
-  /// broker attaches itself to the engine for cache invalidation and
-  /// detaches in the destructor.
+  /// broker attaches itself to the engine, which rebases its contact
+  /// index off the view, and detaches in the destructor.
   QueryBroker(StreamEngine& engine, TemporalViewObserver* temporal,
               BrokerConfig config = {});
   ~QueryBroker() override;
@@ -187,7 +191,10 @@ class QueryBroker final : public StreamObserver {
   /// snapshot() and emit_json() are safe while serving.
   const obs::MetricsRegistry& metrics() const { return registry_; }
 
-  // StreamObserver: the engine's epoch/invalidation hook.
+  // StreamObserver: folds each accepted event into the contact index
+  // and invalidates the cache below the new epoch; recompute() rebases
+  // the index off the view (attach time and StreamEngine::recompute_all,
+  // both after the view, which is attached first).
   std::string_view name() const override { return "serve"; }
   void on_event(const DynamicGraph& g, const Event& event,
                 const EventEffect& effect) override;
@@ -219,6 +226,9 @@ class QueryBroker final : public StreamObserver {
     obs::Counter& lanes_packed;
     obs::Counter& sweeps_saved;
     obs::Counter& fastest_lanes_packed;
+    obs::Counter& csr_builds;
+    obs::Counter& csr_delta_appends;
+    obs::Counter& csr_compactions;
     obs::Counter& csr_reuses;
     obs::Counter& graph_builds;
     obs::Counter& graph_reuses;
@@ -268,11 +278,11 @@ class QueryBroker final : public StreamObserver {
 
   // -- executor state: only touched under exec_mu_
   std::mutex exec_mu_;
-  /// The contact index every temporal kernel reads (engaged iff the
-  /// broker has a temporal view): the observer folds accepted contact
-  /// events as they stream in, so planning only compacts, never
-  /// rebuilds per epoch.
-  std::optional<DeltaCsrObserver> delta_obs_;
+  /// The contact index every temporal kernel reads (empty without a
+  /// temporal view): on_event folds accepted contact events into its
+  /// delta as they stream in, recompute() rebases it off the view, and
+  /// the plan phase compacts it, so planning never rebuilds per epoch.
+  DeltaTemporalCsr index_;
   std::optional<Graph> graph_;            // shared same-epoch static graph
   std::uint64_t graph_epoch_ = 0;
   bool graph_valid_ = false;

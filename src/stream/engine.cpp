@@ -4,7 +4,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "parallel/parallel.hpp"
 
 namespace structnet {
 
@@ -41,19 +40,12 @@ bool StreamEngine::apply(const Event& event) {
   return true;
 }
 
-std::size_t StreamEngine::recompute_all(std::size_t threads) {
+std::size_t StreamEngine::recompute_all() {
   STRUCTNET_OBS_SPAN("stream.recompute_all");
-  if (observers_.empty()) return 0;
   static obs::Counter& recomputes =
       obs::MetricsRegistry::global().counter("stream.observer_recomputes");
   recomputes.add(observers_.size());
-  // Warm the snapshot cache to the current epoch first: once warmed,
-  // concurrent materialize() calls from observer recomputes only read
-  // the cached replay state (no replay, no cache mutation).
-  graph_.materialize();
-  parallel_for(
-      0, observers_.size(), /*grain=*/1,
-      [&](std::size_t i) { observers_[i]->recompute(graph_); }, threads);
+  for (StreamObserver* obs : observers_) obs->recompute(graph_);
   return observers_.size();
 }
 

@@ -1,11 +1,11 @@
 // The streaming engine: a DynamicGraph plus an observer registry.
 //
 // apply() validates/applies one event and fans it out to every attached
-// observer; apply_batch() applies a span of events and then signals
-// on_batch_end once, which is what batching-aware observers (lazy cache
-// invalidation, deferred fixups) key off. Rejected events are counted
-// per RejectReason and NOT delivered to observers, so observers only
-// ever see events the graph actually absorbed.
+// observer, in attach order; apply_batch() applies a span of events and
+// then signals on_batch_end once, which is what batching-aware observers
+// (lazy cache invalidation, deferred fixups) key off. Rejected events
+// are counted per RejectReason and NOT delivered to observers, so
+// observers only ever see events the graph actually absorbed.
 #pragma once
 
 #include <array>
@@ -43,11 +43,11 @@ class StreamEngine {
 
   /// Rebuilds every attached observer from scratch against the current
   /// graph — the equivalence sweep the churn tests run after incremental
-  /// maintenance. Observers are independent, so the sweep fans one shard
-  /// per observer across the parallel layer (`threads`: 0 = default,
-  /// 1 = serial; identical results at any thread count). Returns the
-  /// number of observers refreshed.
-  std::size_t recompute_all(std::size_t threads = 0);
+  /// maintenance. Runs each observer's recompute() in attach order on
+  /// the calling thread: an observer may read observers attached before
+  /// it (the QueryBroker rebases its contact index off the temporal
+  /// view). Returns the number of observers refreshed.
+  std::size_t recompute_all();
 
   /// Applies a batch in order; returns the number of accepted events and
   /// fires on_batch_end on every observer afterwards.

@@ -219,46 +219,18 @@ void TemporalViewObserver::recompute(const DynamicGraph& g) {
   trim_cache_.reset();
 }
 
-void TemporalViewObserver::on_event(const DynamicGraph&, const Event& event,
-                                    const EventEffect& effect) {
-  Event logged = event;
-  if (event.kind == EventKind::kNodeJoin) logged.u = effect.vertex;
-  apply(logged);
+void TemporalViewObserver::on_event(const DynamicGraph& g, const Event&,
+                                    const EventEffect&) {
+  apply(g.log().back());
 }
 
 void TemporalViewObserver::apply(const Event& e) {
-  switch (e.kind) {
-    case EventKind::kContactAdd:
-      if (e.time >= view_.horizon()) {
-        ++out_of_horizon_;
-        return;
-      }
-      if (view_.add_contact(e.u, e.v, e.time)) trim_cache_.reset();
-      break;
-    case EventKind::kContactRelabel: {
-      if (e.new_time >= view_.horizon()) {
-        ++out_of_horizon_;  // rejected: relabeling out of the horizon
-        return;
-      }
-      // A missing old label degrades the relabel to a plain add.
-      const bool removed = view_.remove_label(e.u, e.v, e.time);
-      const bool added = view_.add_contact(e.u, e.v, e.new_time);
-      if (removed || added) trim_cache_.reset();
-      break;
-    }
-    case EventKind::kNodeJoin:
-      if (e.u >= view_.vertex_count()) {
-        view_.grow_vertices(e.u + std::size_t{1});
-        trim_cache_.reset();
-      }
-      break;
-    case EventKind::kNodeLeave:
-      // Temporal views keep history; a departed node's past contacts
-      // remain valid journeys. Nothing to do.
-      break;
-    case EventKind::kEdgeInsert:
-    case EventKind::kEdgeDelete:
-      break;
+  const std::size_t n = view_.vertex_count();
+  const std::optional<std::size_t> changed = fold_contact_event(view_, e);
+  if (!changed) {
+    ++out_of_horizon_;
+  } else if (*changed != 0 || view_.vertex_count() != n) {
+    trim_cache_.reset();
   }
 }
 

@@ -17,11 +17,17 @@
 //                         no contact history: the engine's event log
 //                         is the one copy, and recompute() replays it.
 //
+// fold_contact_event() is the one definition of how a contact event
+// changes a contact set. The view folds through it, and so does the
+// QueryBroker's DeltaTemporalCsr (serve/broker.hpp), which is why the
+// broker's index always equals a fresh TemporalCsr of the view.
+//
 // Every observer's recompute() rebuilds from scratch and lands in the
 // exact state the incremental path maintains, which is what the churn
 // equivalence tests assert.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -34,6 +40,42 @@
 #include "util/rng.hpp"
 
 namespace structnet {
+
+/// Folds one accepted event, in its logged form (a NodeJoin carries the
+/// resolved id in `u`; inside on_event that is `g.log().back()`), into a
+/// contact set: a TemporalGraph or a DeltaTemporalCsr. The rules:
+///   * a contact, or a relabel's new label, at or past the horizon
+///     drops the whole event (a dropped relabel keeps its old contact);
+///   * a relabel is remove-old plus add-new, so a missing old label
+///     makes it a plain add;
+///   * a join grows the id space to cover the joined vertex;
+///   * leaves and plain edge events change nothing: a temporal set
+///     keeps history, and plain edges carry no label.
+/// Returns how many contacts were added or removed (duplicates add
+/// none), or nullopt when the horizon dropped the event.
+template <class ContactSet>
+std::optional<std::size_t> fold_contact_event(ContactSet& set,
+                                              const Event& e) {
+  switch (e.kind) {
+    case EventKind::kContactAdd:
+      if (e.time >= set.horizon()) return std::nullopt;
+      return set.add_contact(e.u, e.v, e.time) ? 1 : 0;
+    case EventKind::kContactRelabel: {
+      if (e.new_time >= set.horizon()) return std::nullopt;
+      const bool removed = set.remove_label(e.u, e.v, e.time);
+      const bool added = set.add_contact(e.u, e.v, e.new_time);
+      return std::size_t{removed} + std::size_t{added};
+    }
+    case EventKind::kNodeJoin:
+      set.grow_vertices(e.u + std::size_t{1});  // no-op if it fits
+      return 0;
+    case EventKind::kNodeLeave:
+    case EventKind::kEdgeInsert:
+    case EventKind::kEdgeDelete:
+      break;
+  }
+  return 0;
+}
 
 /// Incremental degree / core-number tracker feeding NSF membership.
 class CoreObserver : public StreamObserver {
@@ -117,9 +159,10 @@ class SafetyLevelObserver : public StreamObserver {
   std::uint64_t work_ = 0;
 };
 
-/// Folds contact events into a TemporalGraph and keeps a lazily
-/// recomputed trimmed view (trimming/eg_trimming.hpp): any mutation
-/// invalidates the cache; trimmed() rebuilds it on the next read.
+/// Folds contact events into a TemporalGraph (fold_contact_event) and
+/// keeps a lazily recomputed trimmed view (trimming/eg_trimming.hpp):
+/// any mutation invalidates the cache; trimmed() rebuilds it on the
+/// next read.
 class TemporalViewObserver : public StreamObserver {
  public:
   TemporalViewObserver(std::size_t n, TimeUnit horizon)
@@ -143,8 +186,8 @@ class TemporalViewObserver : public StreamObserver {
   bool trim_cache_valid() const { return trim_cache_.has_value(); }
 
  private:
-  /// Applies one accepted event in its logged form (a NodeJoin carries
-  /// the resolved id in `u`): the one code path of on_event and replay.
+  /// Folds one logged event and counts or invalidates accordingly: the
+  /// one code path of on_event and replay.
   void apply(const Event& event);
 
   TemporalGraph view_;

@@ -1,12 +1,10 @@
 #include "temporal/journeys.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <deque>
 #include <limits>
 
-#include "parallel/parallel.hpp"
 #include "temporal/multi_source.hpp"
 #include "temporal/smallworld_metrics.hpp"
 #include "temporal/temporal_csr.hpp"
@@ -14,37 +12,6 @@
 namespace structnet {
 
 namespace {
-
-constexpr std::size_t kLanes = MultiSourceWorkspace::kMaxLanes;
-
-/// Shards the all-sources range [0, n) over kLanes-wide blocks (grain 1
-/// -> fixed block -> shard mapping) and runs one lane-packed sweep per
-/// block; fn(shard, lane, source, ws) is called per lane. Returning
-/// false from fn abandons the shard (early exit).
-template <class Fn>
-void for_each_source_lane(const TemporalCsr& csr, TimeUnit t_start,
-                          std::size_t threads, Fn&& fn) {
-  const std::size_t n = csr.vertex_count();
-  std::vector<MultiSourceWorkspace> ws(resolve_threads(threads));
-  parallel_for_shards(
-      0, lane_block_count(n), 1, threads,
-      [&](std::size_t shard, std::size_t lo, std::size_t hi,
-          std::size_t worker) {
-        MultiSourceWorkspace& w = ws[worker];
-        std::array<VertexId, kLanes> srcs;
-        for (std::size_t b = lo; b < hi; ++b) {
-          const std::size_t s0 = b * kLanes;
-          const std::size_t lanes = std::min(kLanes, n - s0);
-          for (std::size_t l = 0; l < lanes; ++l) {
-            srcs[l] = static_cast<VertexId>(s0 + l);
-          }
-          csr_earliest_arrival_batch(csr, {srcs.data(), lanes}, t_start, w);
-          for (std::size_t l = 0; l < lanes; ++l) {
-            if (!fn(shard, l, static_cast<VertexId>(s0 + l), w)) return;
-          }
-        }
-      });
-}
 
 /// Contacts at or after t_start bucketed by time unit: bucket[t - t_start]
 /// lists edge ids active at t. Labels before t_start can never be taken
@@ -189,11 +156,11 @@ bool is_time_connected(const TemporalGraph& eg, TimeUnit t,
   // already "no").
   std::vector<char> shard_ok(lane_block_count(n), 1);
   for_each_source_lane(
-      csr, t, threads,
-      [&](std::size_t shard, std::size_t lane, VertexId,
+      csr, t, /*record_via=*/false, threads,
+      [&](std::size_t block, std::size_t, std::size_t lane, VertexId,
           const MultiSourceWorkspace& w) {
         if (w.reached_count(lane) != n) {
-          shard_ok[shard] = 0;
+          shard_ok[block] = 0;
           return false;
         }
         return true;
@@ -223,8 +190,8 @@ std::vector<TimeUnit> flooding_times(const TemporalGraph& eg,
   // Per-source slot writes need no ordering; each value is the exact
   // scalar flooding_time(eg, s).
   for_each_source_lane(
-      csr, 0, threads,
-      [&](std::size_t, std::size_t lane, VertexId s,
+      csr, 0, /*record_via=*/false, threads,
+      [&](std::size_t, std::size_t, std::size_t lane, VertexId s,
           const MultiSourceWorkspace& w) {
         if (w.reached_count(lane) != n) {
           out[s] = kNeverTime;
@@ -273,9 +240,9 @@ std::vector<std::vector<TimeUnit>> temporal_distance_matrix(
   const TemporalCsr csr(eg);
   // Row s is byte-identical to temporal_distances(eg, s, t_start); each
   // lane writes only its own row.
-  for_each_source_lane(csr, t_start, threads,
-                       [&](std::size_t, std::size_t lane, VertexId s,
-                           const MultiSourceWorkspace& w) {
+  for_each_source_lane(csr, t_start, /*record_via=*/false, threads,
+                       [&](std::size_t, std::size_t, std::size_t lane,
+                           VertexId s, const MultiSourceWorkspace& w) {
                          rows[s] = w.completion(lane);
                          return true;
                        });

@@ -58,13 +58,16 @@
 // the tests check every lane against.
 //
 // Works on both index types (TemporalCsr and DeltaTemporalCsr) through
-// the shared kernel iteration contract. Callers shard all-pairs loops
-// over blocks of kMaxLanes sources (fixed block -> shard mapping, so
-// results stay bit-identical at any thread count), and the QueryBroker
-// lane-packs batched TemporalDistances and FastestJourney queries into
-// these sweeps (serve/broker.cpp).
+// the shared kernel iteration contract. All-sources callers (closeness,
+// betweenness, path length, flooding, the distance matrix) run through
+// one loop, for_each_source_lane below: blocks of kMaxLanes sources,
+// one shard per block (a fixed block -> shard mapping, so results stay
+// bit-identical at any thread count). The QueryBroker lane-packs
+// batched TemporalDistances and FastestJourney queries into these
+// sweeps (serve/broker.cpp).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstddef>
@@ -74,6 +77,7 @@
 #include <utility>
 #include <vector>
 
+#include "parallel/parallel.hpp"
 #include "temporal/temporal_csr.hpp"
 
 namespace structnet {
@@ -250,6 +254,38 @@ void csr_earliest_arrival_batch(const DeltaTemporalCsr& csr,
                                 std::span<const VertexId> sources,
                                 TimeUnit t_start, MultiSourceWorkspace& ws,
                                 bool record_via = false);
+
+/// The all-sources loop: sweeps the sources [0, csr.vertex_count())
+/// in kMaxLanes-wide blocks, one shard per block (grain 1: the block ->
+/// shard mapping depends on n alone), one csr_earliest_arrival_batch
+/// from t_start per block on the worker slot's pooled workspace. Then
+/// fn(block, worker, lane, source, ws) runs for each lane in ascending
+/// source order; `worker` indexes per-slot accumulators (it is below
+/// resolve_threads(threads)). Returning false from fn abandons the rest
+/// of the block.
+template <class Index, class Fn>
+void for_each_source_lane(const Index& csr, TimeUnit t_start,
+                          bool record_via, std::size_t threads, Fn&& fn) {
+  constexpr std::size_t kLanes = MultiSourceWorkspace::kMaxLanes;
+  const std::size_t n = csr.vertex_count();
+  std::vector<MultiSourceWorkspace> ws(resolve_threads(threads));
+  parallel_for_shards(
+      0, lane_block_count(n), /*grain=*/1, threads,
+      [&](std::size_t block, std::size_t, std::size_t, std::size_t worker) {
+        MultiSourceWorkspace& w = ws[worker];
+        const std::size_t s0 = block * kLanes;
+        const std::size_t lanes = std::min(kLanes, n - s0);
+        std::array<VertexId, kLanes> srcs;
+        for (std::size_t l = 0; l < lanes; ++l) {
+          srcs[l] = static_cast<VertexId>(s0 + l);
+        }
+        csr_earliest_arrival_batch(csr, {srcs.data(), lanes}, t_start, w,
+                                   record_via);
+        for (std::size_t l = 0; l < lanes; ++l) {
+          if (!fn(block, worker, l, srcs[l], std::as_const(w))) return;
+        }
+      });
+}
 
 /// One lane of a fastest-departure batch: one fastest-journey query.
 struct FastestLane {

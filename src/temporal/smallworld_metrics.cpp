@@ -4,9 +4,6 @@
 #include <cmath>
 #include <set>
 
-#include <array>
-
-#include "parallel/parallel.hpp"
 #include "temporal/journeys.hpp"
 #include "temporal/multi_source.hpp"
 #include "temporal/temporal_csr.hpp"
@@ -59,42 +56,26 @@ TemporalPathLength characteristic_temporal_path_length(const TemporalGraph& eg,
     std::size_t reachable = 0;
   };
   // One lane-packed sweep per 64-source block over the build-once
-  // contact index (temporal/multi_source.hpp); grain 1 pins the
-  // block -> shard mapping, and the per-shard partials are folded
-  // serially in shard order below. The delays summed are integer-valued
-  // doubles, so any regrouping of the partial sums is exact — the
-  // result is bit-identical to the legacy per-source loop at any thread
-  // count.
-  constexpr std::size_t kLanes = MultiSourceWorkspace::kMaxLanes;
+  // contact index (for_each_source_lane, temporal/multi_source.hpp);
+  // each block accumulates into its own partial, and the partials are
+  // folded serially in block order below. The delays summed are
+  // integer-valued doubles, so any regrouping of the partial sums is
+  // exact — the result is bit-identical to the legacy per-source loop
+  // at any thread count.
   const TemporalCsr csr(eg);
-  std::vector<MultiSourceWorkspace> ws(resolve_threads(threads));
-  const std::size_t blocks = lane_block_count(n);
-  std::vector<Partial> partial(blocks);
-  parallel_for_shards(
-      0, blocks, 1, threads,
-      [&](std::size_t shard, std::size_t lo, std::size_t hi,
-          std::size_t worker) {
-        MultiSourceWorkspace& w = ws[worker];
-        std::array<VertexId, kLanes> srcs;
-        Partial p;
-        for (std::size_t b = lo; b < hi; ++b) {
-          const std::size_t s0 = b * kLanes;
-          const std::size_t lanes = std::min(kLanes, n - s0);
-          for (std::size_t l = 0; l < lanes; ++l) {
-            srcs[l] = static_cast<VertexId>(s0 + l);
-          }
-          csr_earliest_arrival_batch(csr, {srcs.data(), lanes}, 0, w);
-          for (std::size_t l = 0; l < lanes; ++l) {
-            const std::size_t s = s0 + l;
-            for (std::size_t v = 0; v < n; ++v) {
-              const TimeUnit c = w.arrival(l, static_cast<VertexId>(v));
-              if (v == s || c == kNeverTime) continue;
-              p.delay += static_cast<double>(c);
-              ++p.reachable;
-            }
-          }
+  std::vector<Partial> partial(lane_block_count(n));
+  for_each_source_lane(
+      csr, 0, /*record_via=*/false, threads,
+      [&](std::size_t block, std::size_t, std::size_t lane, VertexId s,
+          const MultiSourceWorkspace& w) {
+        Partial& p = partial[block];
+        for (std::size_t v = 0; v < n; ++v) {
+          const TimeUnit c = w.arrival(lane, static_cast<VertexId>(v));
+          if (v == s || c == kNeverTime) continue;
+          p.delay += static_cast<double>(c);
+          ++p.reachable;
         }
-        partial[shard] = p;
+        return true;
       });
   Partial sum;
   for (const Partial& p : partial) {

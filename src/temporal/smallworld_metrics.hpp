@@ -25,11 +25,6 @@ namespace structnet {
 /// no sample is ever skipped.
 double temporal_correlation_coefficient(const TemporalGraph& eg);
 
-/// Sources per shard of the parallel all-sources sweeps. Fixed (not
-/// thread-dependent) so per-shard accumulation order — and hence the
-/// result — is bit-identical at any thread count.
-inline constexpr std::size_t kSourceGrain = 16;
-
 /// Mean earliest completion delay (completion - start, start = 0) over
 /// all ordered reachable pairs; also reports reachability.
 struct TemporalPathLength {

@@ -1,7 +1,5 @@
 #include "temporal/temporal_centrality.hpp"
 
-#include <array>
-
 #include "parallel/parallel.hpp"
 #include "temporal/journeys.hpp"
 #include "temporal/multi_source.hpp"
@@ -13,45 +11,29 @@ namespace structnet {
 
 namespace {
 
-constexpr std::size_t kLanes = MultiSourceWorkspace::kMaxLanes;
-
-// All-sources closeness over any contact index: shard the source range
-// over kLanes-wide blocks (grain 1 keeps the block -> shard mapping a
-// pure function of n, so results are bit-identical at any thread
-// count), one lane-packed sweep per block instead of kLanes scalar
-// sweeps. The per-lane reduction reads arrivals in the same ascending
-// vertex order the scalar loop used, so every sum is the exact same
-// float sequence.
+// All-sources closeness over any contact index: one lane-packed sweep
+// per 64-source block (for_each_source_lane, bit-identical at any
+// thread count) instead of 64 scalar sweeps. The per-lane reduction
+// reads arrivals in the same ascending vertex order the scalar loop
+// used, so every sum is the exact same float sequence.
 template <class Index>
 std::vector<double> closeness_over_index(const Index& csr,
                                          std::size_t threads) {
   const std::size_t n = csr.vertex_count();
   std::vector<double> closeness(n, 0.0);
   if (n < 2) return closeness;
-  std::vector<MultiSourceWorkspace> ws(resolve_threads(threads));
-  parallel_for_shards(
-      0, lane_block_count(n), 1, threads,
-      [&](std::size_t, std::size_t lo, std::size_t hi, std::size_t worker) {
-        MultiSourceWorkspace& w = ws[worker];
-        std::array<VertexId, kLanes> srcs;
-        for (std::size_t b = lo; b < hi; ++b) {
-          const std::size_t s0 = b * kLanes;
-          const std::size_t lanes = std::min(kLanes, n - s0);
-          for (std::size_t l = 0; l < lanes; ++l) {
-            srcs[l] = static_cast<VertexId>(s0 + l);
-          }
-          csr_earliest_arrival_batch(csr, {srcs.data(), lanes}, 0, w);
-          for (std::size_t l = 0; l < lanes; ++l) {
-            const std::size_t s = s0 + l;
-            double sum = 0.0;
-            for (std::size_t v = 0; v < n; ++v) {
-              const TimeUnit c = w.arrival(l, static_cast<VertexId>(v));
-              if (v == s || c == kNeverTime) continue;
-              sum += 1.0 / (1.0 + static_cast<double>(c));
-            }
-            closeness[s] = sum / static_cast<double>(n - 1);
-          }
+  for_each_source_lane(
+      csr, 0, /*record_via=*/false, threads,
+      [&](std::size_t, std::size_t, std::size_t lane, VertexId s,
+          const MultiSourceWorkspace& w) {
+        double sum = 0.0;
+        for (std::size_t v = 0; v < n; ++v) {
+          const TimeUnit c = w.arrival(lane, static_cast<VertexId>(v));
+          if (v == s || c == kNeverTime) continue;
+          sum += 1.0 / (1.0 + static_cast<double>(c));
         }
+        closeness[s] = sum / static_cast<double>(n - 1);
+        return true;
       });
   return closeness;
 }
@@ -92,37 +74,24 @@ std::vector<double> temporal_betweenness(const TemporalGraph& eg,
   // per lane, so the canonical journeys (and hence the credits) are
   // unchanged by the conversion.
   const TemporalCsr csr(eg);
-  std::vector<MultiSourceWorkspace> ws(slots);
-  parallel_for_shards(
-      0, lane_block_count(n), 1, threads,
-      [&](std::size_t, std::size_t lo, std::size_t hi, std::size_t worker) {
+  for_each_source_lane(
+      csr, 0, /*record_via=*/true, threads,
+      [&](std::size_t, std::size_t worker, std::size_t lane, VertexId s,
+          const MultiSourceWorkspace& w) {
         std::vector<double>& acc = partial[worker];
-        MultiSourceWorkspace& w = ws[worker];
-        std::array<VertexId, kLanes> srcs;
-        for (std::size_t b = lo; b < hi; ++b) {
-          const std::size_t s0 = b * kLanes;
-          const std::size_t lanes = std::min(kLanes, n - s0);
-          for (std::size_t l = 0; l < lanes; ++l) {
-            srcs[l] = static_cast<VertexId>(s0 + l);
-          }
-          csr_earliest_arrival_batch(csr, {srcs.data(), lanes}, 0, w,
-                                     /*record_via=*/true);
-          for (std::size_t l = 0; l < lanes; ++l) {
-            const auto s = static_cast<VertexId>(s0 + l);
-            for (std::size_t d = 0; d < n; ++d) {
-              const auto dst = static_cast<VertexId>(d);
-              if (dst == s || w.arrival(l, dst) == kNeverTime) continue;
-              // Credit interior vertices of the canonical journey s -> d.
-              VertexId cur = dst;
-              while (true) {
-                const VertexId prev = w.via_from(l, cur);
-                if (prev == kInvalidVertex || prev == s) break;
-                acc[prev] += 1.0;
-                cur = prev;
-              }
-            }
+        for (std::size_t d = 0; d < n; ++d) {
+          const auto dst = static_cast<VertexId>(d);
+          if (dst == s || w.arrival(lane, dst) == kNeverTime) continue;
+          // Credit interior vertices of the canonical journey s -> d.
+          VertexId cur = dst;
+          while (true) {
+            const VertexId prev = w.via_from(lane, cur);
+            if (prev == kInvalidVertex || prev == s) break;
+            acc[prev] += 1.0;
+            cur = prev;
           }
         }
+        return true;
       });
   for (const std::vector<double>& acc : partial) {
     for (std::size_t v = 0; v < n; ++v) betweenness[v] += acc[v];

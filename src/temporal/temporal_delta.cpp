@@ -137,7 +137,7 @@ bool DeltaTemporalCsr::add_contact(VertexId u, VertexId v, TimeUnit t) {
   return true;
 }
 
-bool DeltaTemporalCsr::remove_contact(VertexId u, VertexId v, TimeUnit t) {
+bool DeltaTemporalCsr::remove_label(VertexId u, VertexId v, TimeUnit t) {
   if (u >= n_ || v >= n_ || t >= horizon()) return false;
   prefetch(edge_of_.probe_line(endpoint_key(u, v)));
   prefetch(&vadd_[u]);

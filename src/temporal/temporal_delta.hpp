@@ -30,7 +30,10 @@
 // Compaction. Reads cost O(log delta) extra per probe, so once the
 // delta outgrows a configurable fraction of the base the owner should
 // absorb it into a fresh base via rebase() (needs_compaction() is the
-// policy predicate; DeltaCsrObserver / QueryBroker drive it).
+// policy predicate). The QueryBroker owns the serving index: it folds
+// stream events in through fold_contact_event (stream/observers.hpp),
+// the same rules the temporal view applies, and compacts in its plan
+// phase (serve/broker.hpp).
 //
 // Concurrency contract: mutations are exclusive; any number of
 // concurrent readers (kernel sweeps) may run between mutations.
@@ -65,13 +68,13 @@ class DeltaTemporalCsr {
   /// tombstones a live base label. Returns false when the contact is
   /// not live, t at or past the horizon included (like
   /// TemporalGraph::remove_label).
-  bool remove_contact(VertexId u, VertexId v, TimeUnit t);
+  bool remove_label(VertexId u, VertexId v, TimeUnit t);
 
   /// Extends the vertex space to n (new vertices start contact-free);
   /// no-op when n is not larger than the current count.
   void grow_vertices(std::size_t n);
 
-  /// Warms the cache lines an upcoming add_contact/remove_contact for
+  /// Warms the cache lines an upcoming add_contact/remove_label for
   /// (u, v, t) will touch. The fold path is memory-latency bound, so
   /// batch appliers overlap the next event's misses with the current
   /// event's work by calling this one event ahead. Pure hint: never

@@ -184,7 +184,7 @@ TEST(MultiSourceDelta, OverlayLanesMatchScalarAcrossCompaction) {
       const auto t = static_cast<TimeUnit>(rng.index(kHorizon));
       if (rng.bernoulli(0.3)) {
         live.erase(key(u, v, t));
-        delta.remove_contact(u, v, t);
+        delta.remove_label(u, v, t);
       } else {
         live.insert(key(u, v, t));
         delta.add_contact(u, v, t);
@@ -373,7 +373,7 @@ TEST(MultiSourceFastest, DeltaOverlayMatchesFreshAcrossCompaction) {
                                   static_cast<std::ptrdiff_t>(
                                       rng.index(live.size())));
         live.erase(c);
-        ASSERT_TRUE(delta.remove_contact(c[0], c[1], c[2]));
+        ASSERT_TRUE(delta.remove_label(c[0], c[1], c[2]));
         continue;
       }
       const auto u = static_cast<VertexId>(rng.index(kN));

@@ -27,6 +27,7 @@
 #include "stream/engine.hpp"
 #include "stream/observers.hpp"
 #include "temporal/journeys.hpp"
+#include "temporal/temporal_csr.hpp"
 #include "temporal/temporal_centrality.hpp"
 #include "util/rng.hpp"
 
@@ -1431,6 +1432,118 @@ TEST(QueryBrokerLanePack, TemporalClosenessServedMatchesDirect) {
   ASSERT_EQ(r.status, QueryStatus::kOk);
   const QueryPayload want(temporal_closeness(rig.view.view(), 1));
   EXPECT_TRUE(payload_equal(r.payload, want));
+}
+
+// ------------------------------------------------------- contact index
+
+TEST(QueryBrokerTest, IndexCountersTrackFoldsAndCompactions) {
+  StreamEngine engine{DynamicGraph(6)};
+  TemporalViewObserver view(6, 8);
+  engine.attach(&view);
+  BrokerConfig cfg;
+  cfg.threads = 1;
+  QueryBroker broker(engine, &view, cfg);
+  EXPECT_EQ(counter(broker, "serve.csr_builds"), 1u);  // attach-time rebase
+
+  const std::vector<Event> events = {
+      Event::contact_add(0, 1, 2),
+      Event::contact_add(1, 2, 3),
+      Event::contact_add(0, 1, 2),         // duplicate: no fold
+      Event::contact_add(0, 1, 20),        // out of horizon: no fold
+      Event::contact_relabel(0, 1, 2, 4),  // 2 folds
+  };
+  ASSERT_EQ(broker.apply_events(events), events.size());
+  EXPECT_EQ(counter(broker, "serve.csr_delta_appends"), 4u);
+  EXPECT_EQ(counter(broker, "serve.csr_compactions"), 0u);
+
+  // Routing simulates against the full base, so its batch compacts.
+  RoutingTrialsQuery rt;
+  rt.source = 0;
+  rt.destination = 2;
+  ASSERT_EQ(run_one(broker, rt).status, QueryStatus::kOk);
+  EXPECT_EQ(counter(broker, "serve.csr_compactions"), 1u);
+  EXPECT_EQ(counter(broker, "serve.csr_builds"), 2u);
+  // A second, distinct routing query finds the delta already empty.
+  rt.destination = 1;
+  ASSERT_EQ(run_one(broker, rt).status, QueryStatus::kOk);
+  EXPECT_EQ(counter(broker, "serve.csr_compactions"), 1u);
+  EXPECT_EQ(counter(broker, "serve.csr_builds"), 2u);
+  EXPECT_EQ(counter(broker, "serve.csr_reuses"), 1u);
+  EXPECT_EQ(counter(broker, "serve.csr_delta_appends"), 4u);
+}
+
+// recompute_all rebuilds observers in attach order, so the broker
+// rebases its index off a view that has finished rebuilding. Recomputed
+// in parallel, the index could rebase off a view mid-rebuild and serve
+// wrong payloads (or crash).
+TEST(QueryBrokerTest, RecomputeAllRebasesIndexOffRebuiltView) {
+  constexpr std::size_t kNodes = 400;
+  constexpr TimeUnit kHorizon = 48;
+  StreamEngine engine{DynamicGraph(kNodes)};
+  TemporalViewObserver view(kNodes, kHorizon);
+  engine.attach(&view);
+  BrokerConfig cfg;
+  cfg.threads = 2;
+  QueryBroker broker(engine, &view, cfg);
+
+  Rng rng(41);
+  const auto churn = [&](std::size_t count) {
+    std::vector<Event> events;
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto u = static_cast<VertexId>(rng.index(kNodes));
+      const auto v = static_cast<VertexId>((u + 1 + rng.index(kNodes - 1)) %
+                                           kNodes);
+      const auto t = static_cast<TimeUnit>(rng.index(kHorizon));
+      if (rng.uniform01() < 0.9) {
+        events.push_back(Event::contact_add(u, v, t));
+      } else {
+        events.push_back(Event::contact_relabel(
+            u, v, t, static_cast<TimeUnit>(rng.index(kHorizon))));
+      }
+    }
+    broker.apply_events(events);
+  };
+  churn(20000);
+
+  TemporalWorkspace ws;
+  for (std::size_t round = 0; round < 5; ++round) {
+    EXPECT_EQ(engine.recompute_all(), 2u);
+    const TemporalCsr fresh(view.view());
+    std::vector<Query> queries;
+    for (const VertexId s : {0u, 37u, 101u, 211u, 399u}) {
+      const auto t = static_cast<VertexId>((s + 7 * (round + 1)) % kNodes);
+      queries.emplace_back(TemporalDistancesQuery{s, 0});
+      queries.emplace_back(FastestJourneyQuery{s, t, 2});
+      queries.emplace_back(MinHopJourneyQuery{t, s, 1});
+    }
+    std::vector<std::future<QueryResult>> futures;
+    for (const Query& q : queries) futures.push_back(broker.submit(q));
+    broker.flush();
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const QueryResult r = futures[i].get();
+      ASSERT_EQ(r.status, QueryStatus::kOk) << "round " << round;
+      const QueryPayload want = std::visit(
+          [&](const auto& q) -> QueryPayload {
+            using T = std::decay_t<decltype(q)>;
+            if constexpr (std::is_same_v<T, TemporalDistancesQuery>) {
+              csr_earliest_arrival(fresh, q.source, q.t_start, ws);
+              return ws.to_earliest_arrival().completion;
+            } else if constexpr (std::is_same_v<T, FastestJourneyQuery>) {
+              return fastest_journey(view.view(), q.source, q.target,
+                                     q.t_start);
+            } else if constexpr (std::is_same_v<T, MinHopJourneyQuery>) {
+              return csr_minimum_hop_journey(fresh, q.source, q.target,
+                                             q.t_start, ws);
+            } else {
+              return QueryPayload();
+            }
+          },
+          queries[i]);
+      EXPECT_TRUE(payload_equal(r.payload, want))
+          << "round " << round << " query " << i;
+    }
+    churn(200);  // a new epoch, so the next round misses the cache
+  }
 }
 
 }  // namespace

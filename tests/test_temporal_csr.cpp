@@ -265,7 +265,7 @@ TEST(TemporalCsrMinimumHop, MatchesLegacyOnSparseLongJourneys) {
       const auto edge = eg.edge(e);
       if (step % 3 == 0 && !edge.labels.empty()) {
         const TimeUnit dead = edge.labels.front();
-        ASSERT_TRUE(delta.remove_contact(edge.u, edge.v, dead));
+        ASSERT_TRUE(delta.remove_label(edge.u, edge.v, dead));
         eg.remove_label(edge.u, edge.v, dead);
       }
     }
@@ -589,7 +589,7 @@ TEST(TemporalDeltaChurn, MixedEventsBitIdenticalToFreshRebuild) {
       accepted += expect_new;
     } else {
       const bool removed = eg.remove_label(u, v, t);
-      EXPECT_EQ(delta.remove_contact(u, v, t), removed) << "step " << step;
+      EXPECT_EQ(delta.remove_label(u, v, t), removed) << "step " << step;
       accepted += removed;
     }
     // Aggressive compaction policy so the suite crosses many
@@ -629,10 +629,10 @@ TEST(TemporalDeltaChurn, ResurrectionAndDuplicateSemantics) {
   EXPECT_FALSE(delta.add_contact(0, 1, 2));
   EXPECT_TRUE(delta.delta_empty());
   // Tombstone a base contact, then resurrect it: delta drains to zero.
-  EXPECT_TRUE(delta.remove_contact(0, 1, 2));
+  EXPECT_TRUE(delta.remove_label(0, 1, 2));
   eg.remove_label(0, 1, 2);
   EXPECT_EQ(delta.delta_size(), 1u);
-  EXPECT_FALSE(delta.remove_contact(0, 1, 2));  // already dead
+  EXPECT_FALSE(delta.remove_label(0, 1, 2));  // already dead
   EXPECT_TRUE(delta.add_contact(0, 1, 2));      // resurrect
   eg.add_contact(0, 1, 2);
   EXPECT_TRUE(delta.delta_empty());
@@ -641,15 +641,15 @@ TEST(TemporalDeltaChurn, ResurrectionAndDuplicateSemantics) {
   eg.add_contact(2, 3, 1);
   EXPECT_FALSE(delta.add_contact(3, 2, 1));
   EXPECT_EQ(delta.delta_size(), 1u);
-  EXPECT_TRUE(delta.remove_contact(2, 3, 1));
+  EXPECT_TRUE(delta.remove_label(2, 3, 1));
   eg.remove_label(2, 3, 1);
   EXPECT_TRUE(delta.delta_empty());
   // Removing a contact that never existed fails on both paths, as does
   // one at or past the horizon (the graph's remove_label rejects it too).
-  EXPECT_FALSE(delta.remove_contact(0, 3, 4));
-  EXPECT_FALSE(delta.remove_contact(0, 1, 5));
+  EXPECT_FALSE(delta.remove_label(0, 3, 4));
+  EXPECT_FALSE(delta.remove_label(0, 1, 5));
   EXPECT_FALSE(eg.remove_label(0, 1, 6));
-  EXPECT_FALSE(delta.remove_contact(0, 1, 6));
+  EXPECT_FALSE(delta.remove_label(0, 1, 6));
 
   expect_delta_layout_equal(eg, delta);
 }
@@ -676,7 +676,7 @@ TEST(TemporalDeltaChurn, AllSourcesBitIdenticalAt128Threads) {
       delta.add_contact(u, v, t);
     } else {
       eg.remove_label(u, v, t);
-      delta.remove_contact(u, v, t);
+      delta.remove_label(u, v, t);
     }
   }
 

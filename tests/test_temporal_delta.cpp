@@ -1,16 +1,21 @@
-// DeltaCsrObserver equivalence: the stream-tracked delta index against
-// a fresh TemporalCsr rebuilt from the TemporalViewObserver's graph,
-// under randomized engine churn (contact adds incl. out-of-horizon,
-// relabels with and without a live old label, node joins growing the
-// vertex space, leave/edge noise), across compaction boundaries.
+// The shared contact fold (fold_contact_event, stream/observers.hpp)
+// driving a DeltaTemporalCsr, as the QueryBroker drives its index: each
+// event the engine logs folds into the delta, which must stay
+// bit-identical to a fresh TemporalCsr rebuilt from the
+// TemporalViewObserver's graph, across compaction boundaries. The view
+// itself is checked against a test-local model of the contact rules, so
+// a wrong rule in the shared fold cannot hide behind the equivalence.
+// Churn is randomized: contact adds incl. out-of-horizon, relabels with
+// and without a live old label, node joins growing the vertex space,
+// leave/edge noise.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <string_view>
+#include <cstdint>
+#include <set>
+#include <tuple>
 #include <vector>
 
-#include "obs/metrics.hpp"
-#include "stream/csr_observer.hpp"
 #include "stream/engine.hpp"
 #include "stream/observers.hpp"
 #include "temporal/temporal_csr.hpp"
@@ -20,13 +25,66 @@
 namespace structnet {
 namespace {
 
+using Contact = std::tuple<VertexId, VertexId, TimeUnit>;
+
+Contact contact_key(VertexId u, VertexId v, TimeUnit t) {
+  return {std::min(u, v), std::max(u, v), t};
+}
+
+/// The contact rules written out independently of fold_contact_event:
+/// the live contact set, plus the events the horizon dropped.
+struct ContactModel {
+  TimeUnit horizon = 0;
+  std::set<Contact> live;
+  std::uint64_t dropped = 0;
+
+  void apply(const Event& e) {
+    if (e.kind == EventKind::kContactAdd) {
+      if (e.time >= horizon) {
+        ++dropped;
+        return;
+      }
+      live.insert(contact_key(e.u, e.v, e.time));
+    } else if (e.kind == EventKind::kContactRelabel) {
+      if (e.new_time >= horizon) {
+        ++dropped;  // the old contact stays
+        return;
+      }
+      live.erase(contact_key(e.u, e.v, e.time));
+      live.insert(contact_key(e.u, e.v, e.new_time));
+    }
+  }
+};
+
+/// Folds every event the engine logged since `folded` into the index
+/// (through the shared fold) and into the model.
+void fold_new_events(const StreamEngine& engine, std::size_t& folded,
+                     DeltaTemporalCsr& index, ContactModel& model) {
+  const std::vector<Event>& log = engine.graph().log();
+  for (; folded < log.size(); ++folded) {
+    fold_contact_event(index, log[folded]);
+    model.apply(log[folded]);
+  }
+}
+
+void expect_view_matches_model(const TemporalViewObserver& view,
+                               const ContactModel& model) {
+  std::set<Contact> got;
+  for (const auto& edge : view.view().edges()) {
+    for (const TimeUnit t : edge.labels) {
+      got.insert(contact_key(edge.u, edge.v, t));
+    }
+  }
+  EXPECT_EQ(got, model.live);
+  EXPECT_EQ(view.out_of_horizon(), model.dropped);
+}
+
 // The merged index must reproduce a fresh rebuild of the view exactly:
 // same layout (unit streams in order, labels) and bit-identical
 // earliest-arrival sweeps (completion + via) from every source.
-void expect_index_equals_view(const DeltaCsrObserver& obs,
+void expect_index_equals_view(const DeltaTemporalCsr& delta,
                               const TemporalGraph& view) {
   const TemporalCsr fresh(view);
-  const DeltaTemporalCsr& delta = obs.index();
   ASSERT_EQ(delta.vertex_count(), fresh.vertex_count());
   ASSERT_EQ(delta.edge_count(), fresh.edge_count());
   ASSERT_EQ(delta.contact_count(), fresh.contact_count());
@@ -53,14 +111,15 @@ void expect_index_equals_view(const DeltaCsrObserver& obs,
   }
 }
 
-TEST(DeltaCsrObserver, TracksEngineBitIdenticalToViewRebuild) {
+TEST(ContactFold, TracksEngineBitIdenticalToViewRebuild) {
   constexpr std::size_t kN = 14;
   constexpr TimeUnit kHorizon = 10;
   StreamEngine engine{DynamicGraph(kN)};
   TemporalViewObserver view(kN, kHorizon);
-  DeltaCsrObserver delta(view, /*compact_ratio=*/0.15);
   engine.attach(&view);
-  engine.attach(&delta);  // after the view: recompute() reads it
+  DeltaTemporalCsr delta(view.view());
+  ContactModel model{kHorizon, {}, 0};
+  std::size_t folded = 0;
 
   Rng rng(17);
   std::size_t joins = 0;
@@ -102,67 +161,44 @@ TEST(DeltaCsrObserver, TracksEngineBitIdenticalToViewRebuild) {
       default:
         break;
     }
+    fold_new_events(engine, folded, delta, model);
     // Let the ratio policy fire mid-stream so equivalence holds across
     // compaction boundaries too.
-    if (step % 50 == 49) delta.advance();
-    if (step % 40 == 39) expect_index_equals_view(delta, view.view());
+    if (step % 50 == 49 && delta.needs_compaction(0.15)) {
+      delta.rebase(view.view());
+    }
+    if (step % 40 == 39) {
+      expect_view_matches_model(view, model);
+      expect_index_equals_view(delta, view.view());
+    }
   }
+  expect_view_matches_model(view, model);
   expect_index_equals_view(delta, view.view());
 
-  // Force-compacting for a full base leaves an empty delta and an
-  // unchanged merged view.
-  delta.advance(/*force_full_base=*/true);
-  EXPECT_TRUE(delta.index().delta_empty());
+  // Compacting for a full base leaves an empty delta and an unchanged
+  // merged view.
+  delta.rebase(view.view());
+  EXPECT_TRUE(delta.delta_empty());
   expect_index_equals_view(delta, view.view());
-  engine.detach(&delta);
   engine.detach(&view);
 }
 
-TEST(DeltaCsrObserver, NodeJoinGrowsVertexSpaceMidStream) {
+TEST(ContactFold, NodeJoinGrowsVertexSpaceMidStream) {
   StreamEngine engine{DynamicGraph(3)};
   TemporalViewObserver view(3, 8);
-  DeltaCsrObserver delta(view);
   engine.attach(&view);
-  engine.attach(&delta);
+  DeltaTemporalCsr delta(view.view());
+  ContactModel model{8, {}, 0};
+  std::size_t folded = 0;
 
   ASSERT_TRUE(engine.apply(Event::contact_add(0, 1, 2)));
-  const auto join = engine.graph().log().empty();  // silence unused warn
-  (void)join;
   ASSERT_TRUE(engine.apply(Event::node_join()));  // vertex 3
   ASSERT_TRUE(engine.apply(Event::contact_add(3, 0, 4)));
   ASSERT_TRUE(engine.apply(Event::contact_add(3, 2, 5)));
-  EXPECT_EQ(delta.index().vertex_count(), 4u);
+  fold_new_events(engine, folded, delta, model);
+  EXPECT_EQ(delta.vertex_count(), 4u);
+  expect_view_matches_model(view, model);
   expect_index_equals_view(delta, view.view());
-  engine.detach(&delta);
-  engine.detach(&view);
-}
-
-TEST(DeltaCsrObserver, CountersTrackFoldsAndCompactions) {
-  obs::MetricsRegistry reg;
-  StreamEngine engine{DynamicGraph(6)};
-  TemporalViewObserver view(6, 8);
-  DeltaCsrObserver delta(view, 0.25, &reg, "serve");
-  const auto counter = [&](std::string_view name) {
-    return reg.snapshot().counter_value(name);
-  };
-  engine.attach(&view);
-  engine.attach(&delta);
-  EXPECT_EQ(counter("serve.csr_builds"), 1u);  // the attach-time recompute
-
-  ASSERT_TRUE(engine.apply(Event::contact_add(0, 1, 2)));
-  ASSERT_TRUE(engine.apply(Event::contact_add(1, 2, 3)));
-  engine.apply(Event::contact_add(0, 1, 2));   // duplicate: no fold
-  engine.apply(Event::contact_add(0, 1, 20));  // out of horizon: no fold
-  ASSERT_TRUE(engine.apply(Event::contact_relabel(0, 1, 2, 4)));  // 2 folds
-  EXPECT_EQ(counter("serve.csr_delta_appends"), 4u);
-  EXPECT_EQ(counter("serve.csr_compactions"), 0u);
-
-  EXPECT_TRUE(delta.advance(/*force_full_base=*/true));
-  EXPECT_FALSE(delta.advance(/*force_full_base=*/true));  // already empty
-  EXPECT_EQ(counter("serve.csr_compactions"), 1u);
-  EXPECT_EQ(counter("serve.csr_builds"), 2u);
-  EXPECT_EQ(counter("serve.csr_delta_appends"), 4u);
-  engine.detach(&delta);
   engine.detach(&view);
 }
 
