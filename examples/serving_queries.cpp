@@ -1,5 +1,5 @@
 // Query serving scenario: a live engine under churn, answered through
-// the QueryBroker — batched execution, epoch-keyed result caching, and
+// the QueryBroker — batched execution, one-epoch result caching, and
 // typed admission control, all against one consistent epoch per batch.
 //
 // Pipeline: StreamEngine + temporal view -> QueryBroker -> interleaved

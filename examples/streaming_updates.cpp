@@ -51,13 +51,14 @@ int main() {
             << (mis.mis().verify() ? "yes" : "NO")
             << " (adjustments: " << mis.work() << ")\n";
 
-  // O(1) snapshot handle: freeze the current epoch, keep streaming, and
-  // the handle still materializes the frozen graph.
-  const GraphSnapshot frozen = engine.graph().snapshot();
+  // A materialized Graph is a copy: freeze the current epoch, keep
+  // streaming, and the copy still holds the frozen graph.
+  const std::uint64_t frozen_epoch = engine.graph().epoch();
+  const Graph frozen = engine.graph().materialize();
   engine.apply(Event::edge_insert(0, 1));
   engine.apply(Event::edge_delete(0, 1));
-  std::cout << "snapshot at epoch " << frozen.epoch() << " still has "
-            << frozen.materialize().edge_count() << " edges (live epoch "
+  std::cout << "snapshot at epoch " << frozen_epoch << " still has "
+            << frozen.edge_count() << " edges (live epoch "
             << engine.graph().epoch() << ")\n";
 
   // --- 2. Temporal view: a random-waypoint contact trace streamed in.

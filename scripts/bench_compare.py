@@ -13,14 +13,20 @@ that stamp, takes the two most recent recordings, matches their rows
         --metric packed_ns_per_query --bench serve_lane_pack
 
 Exits nonzero when any matched row regressed by more than --threshold
-percent (default 15).  Whether bigger is a regression is inferred from
-the metric name (ns/us/latency/bytes => lower is better, anything else
-=> higher is better); override with --direction.  Fewer than two
+percent (default 15).  Whether bigger is a regression comes from the
+"better" field of BENCHMARK.json (at the repo root) when its end_to_end
+or per_layer list names the metric; otherwise it is inferred from the
+metric name (ns/us/latency/bytes => lower is better, anything else =>
+higher is better).  --direction overrides both.  Fewer than two
 recordings is not an error -- there is nothing to compare yet.
 """
 import argparse
 import json
+import os
 import sys
+
+BENCHMARK_JSON = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              os.pardir, "BENCHMARK.json")
 
 
 def load_recordings(path):
@@ -49,9 +55,26 @@ def row_key(row):
                         if isinstance(v, str) and k not in ("date", "commit")))
 
 
-def lower_is_better(metric):
+def declared_direction(metric):
+    """"higher" or "lower" as BENCHMARK.json declares the metric, or
+    None when the file is absent or does not name it."""
+    try:
+        with open(BENCHMARK_JSON) as f:
+            spec = json.load(f)
+    except FileNotFoundError:
+        return None
+    for entry in spec.get("end_to_end", []) + spec.get("per_layer", []):
+        if entry.get("name") == metric:
+            return entry.get("better")
+    return None
+
+
+def higher_is_better(metric):
+    declared = declared_direction(metric)
+    if declared is not None:
+        return declared == "higher"
     metric = metric.lower()
-    return any(tok in metric for tok in ("ns", "_us", "latency", "bytes"))
+    return not any(tok in metric for tok in ("ns", "_us", "latency", "bytes"))
 
 
 def main():
@@ -65,7 +88,8 @@ def main():
     ap.add_argument("--threshold", type=float, default=15.0,
                     help="regression tolerance in percent (default 15)")
     ap.add_argument("--direction", choices=("higher", "lower"), default=None,
-                    help="which way is better (default: inferred from name)")
+                    help="which way is better (default: BENCHMARK.json's "
+                         "\"better\" field, else inferred from the name)")
     args = ap.parse_args()
 
     recordings = load_recordings(args.file)
@@ -88,7 +112,7 @@ def main():
         return 1
 
     higher_better = (args.direction == "higher" if args.direction
-                     else not lower_is_better(args.metric))
+                     else higher_is_better(args.metric))
     failed = 0
     for key in matched:
         before = float(old[key][args.metric])

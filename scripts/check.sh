@@ -314,6 +314,40 @@ print("obs smoke: %d trace events, %d span names, nesting OK"
 PYEOF
   rm -f "$trace_out"
 
+  echo "== bench_compare: metric directions come from BENCHMARK.json =="
+  # Two synthetic second recordings appended to a temp copy of the
+  # latest BENCH_perfbench.json recording: one doubles setup_s and
+  # peak_rss_mb (both "better": "lower") and must be flagged as a
+  # regression without --direction; an unchanged one must pass.
+  cmp_dir="$(mktemp -d)"
+  python3 - "$cmp_dir" <<'PYEOF'
+import json, sys
+rows = [json.loads(l) for l in open("BENCH_perfbench.json") if l.startswith("{")]
+stamp = lambda r: (r.get("date"), r.get("commit"))
+latest = [r for r in rows if stamp(r) == stamp(rows[-1])]
+for name, scale in (("doubled", 2.0), ("unchanged", 1.0)):
+    with open(sys.argv[1] + "/" + name + ".json", "w") as f:
+        for r in latest:
+            f.write(json.dumps(r) + "\n")
+        for r in latest:
+            r = dict(r, date="synthetic", commit="synthetic",
+                     setup_s=r["setup_s"] * scale,
+                     peak_rss_mb=r["peak_rss_mb"] * scale)
+            f.write(json.dumps(r) + "\n")
+PYEOF
+  for metric in setup_s peak_rss_mb; do
+    rc=0
+    python3 scripts/bench_compare.py "$cmp_dir/doubled.json" \
+      --bench perfbench --metric "$metric" || rc=$?
+    if [[ "$rc" != 1 ]]; then
+      echo "bench_compare: doubled $metric exited $rc, want 1" >&2
+      exit 1
+    fi
+    python3 scripts/bench_compare.py "$cmp_dir/unchanged.json" \
+      --bench perfbench --metric "$metric"
+  done
+  rm -rf "$cmp_dir"
+
   echo "== perfbench self-test: correctness gates, determinism, metric surface =="
   # Builds the benchmark package (Release, the whole src/ tree) into
   # .bench_build or $CARGO_TARGET_DIR, runs each BENCHMARK.json workload

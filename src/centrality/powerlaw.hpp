@@ -20,6 +20,8 @@ struct PowerLawFit {
   double ks = 1.0;      // KS distance between data and fitted CCDF
   std::size_t k_min = 1;
   std::size_t samples = 0;  // #observations >= k_min used for the fit
+
+  friend bool operator==(const PowerLawFit&, const PowerLawFit&) = default;
 };
 
 /// MLE exponent for discrete data x >= k_min:

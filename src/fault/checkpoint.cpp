@@ -90,7 +90,7 @@ void write_checkpoint(std::ostream& os, const StreamEngine& engine) {
       obs::MetricsRegistry::global().counter("fault.checkpoint_writes");
   writes.add();
   const DynamicGraph& g = engine.graph();
-  const Graph initial = g.snapshot_at(0).materialize();
+  const Graph& initial = g.initial();
   os << kMagic << '\n';
   os << initial.vertex_count() << ' ' << initial.edge_count() << ' '
      << g.epoch() << ' ' << engine.accepted() << ' ' << engine.rejected()

@@ -56,6 +56,8 @@ struct NsfReport {
   std::vector<std::size_t> sizes; // surviving vertex count per round
   double exponent_stddev = 0.0;
   bool all_scale_free = false;    // every round's fit passed the KS gate
+
+  friend bool operator==(const NsfReport&, const NsfReport&) = default;
 };
 
 /// Runs peel_sequence and fits a power law per round. A round "passes"

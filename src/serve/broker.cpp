@@ -109,9 +109,8 @@ QueryBroker::QueryBroker(StreamEngine& engine, TemporalViewObserver* temporal,
       temporal_(temporal),
       config_(config),
       metrics_(registry_),
-      health_(HealthConfig{config.circuit_threshold, config.probe_backoff},
-              registry_),
-      cache_(config.cache_bytes, &registry_, "serve.cache") {
+      health_(registry_),
+      cache_(config.cache_bytes, registry_) {
   // Attached after the temporal view, so the attach-time recompute()
   // adopts the view's current state and later events fold behind it.
   engine_.attach(this);
@@ -300,7 +299,7 @@ std::size_t QueryBroker::flush() {
   std::vector<Pending> batch;
   {
     std::lock_guard<std::mutex> lk(queue_mu_);
-    const std::size_t take = std::min(queue_.size(), config_.max_batch);
+    const std::size_t take = std::min(queue_.size(), kMaxBatch);
     batch.reserve(take);
     for (std::size_t i = 0; i < take; ++i) {
       batch.push_back(std::move(queue_.front()));
@@ -682,12 +681,12 @@ std::size_t QueryBroker::apply_events(std::span<const Event> events) {
   // Bounded retry with exponential backoff over the pre-commit fault
   // seam. The seam sits BEFORE the engine mutates, so a retry can never
   // double-apply an event (node joins etc. are not idempotent).
-  std::chrono::nanoseconds delay = config_.update_backoff_base;
+  std::chrono::nanoseconds delay = kUpdateBackoffBase;
   for (std::size_t attempt = 1;
        config_.update_fault_fn != nullptr && config_.update_fault_fn();
        ++attempt) {
     metrics_.update_faults.add();
-    if (attempt >= std::max<std::size_t>(config_.update_max_attempts, 1)) {
+    if (attempt >= kUpdateMaxAttempts) {
       metrics_.update_failures.add();
       health_.on_failure(clock_now());
       // Wake the dispatcher: its watchdog owns the re-probe cadence.
@@ -700,16 +699,12 @@ std::size_t QueryBroker::apply_events(std::span<const Event> events) {
       return 0;
     }
     metrics_.update_retries.add();
-    if (delay.count() > 0) {
-      if (config_.sleep_fn != nullptr) {
-        config_.sleep_fn(delay);
-      } else {
-        std::this_thread::sleep_for(delay);
-      }
+    if (config_.sleep_fn != nullptr) {
+      config_.sleep_fn(delay);
+    } else {
+      std::this_thread::sleep_for(delay);
     }
-    delay = std::min(delay * std::max<std::uint32_t>(
-                                 config_.update_backoff_factor, 1),
-                     config_.update_backoff_cap);
+    delay = std::min(delay * kUpdateBackoffFactor, kUpdateBackoffCap);
   }
 
   try {
@@ -775,7 +770,7 @@ void QueryBroker::dispatch_loop() {
       if (health_.state() == HealthState::kReadOnly) {
         // Watchdog mode: wake at the probe cadence even when no queries
         // arrive, so the circuit re-closes without external traffic.
-        queue_cv_.wait_for(lk, health_.config().probe_backoff, drain);
+        queue_cv_.wait_for(lk, HealthMonitor::kProbeBackoff, drain);
       } else {
         // A circuit trip must also break the untimed wait (apply_events
         // notifies on failure): wait(pred) re-checks only its predicate,
@@ -808,7 +803,7 @@ void QueryBroker::on_event(const DynamicGraph& g, const Event&,
         fold_contact_event(index_, g.log().back());
     if (changed && *changed != 0) metrics_.csr_delta_appends.add(*changed);
   }
-  // The engine advanced: entries below the new epoch can never be hit
+  // The engine advanced: entries of the old epoch can never be hit
   // again (epoch monotonicity), so release their bytes eagerly.
   std::lock_guard<std::mutex> lk(serve_mu_);
   cache_.invalidate_before(g.epoch());

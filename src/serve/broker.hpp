@@ -1,6 +1,6 @@
 // The query-serving front-end: a QueryBroker accepts typed queries
 // against a StreamEngine-owned graph, batches them, executes batches on
-// the parallel ThreadPool, and resolves futures — with an epoch-keyed
+// the parallel ThreadPool, and resolves futures — with a one-epoch
 // result cache, admission control, and a metrics registry.
 //
 // Dataflow per flush():
@@ -8,7 +8,7 @@
 //   submit() ----> bounded queue ----> [flush] deadline / validity gate
 //                                         |        (Rejected / TimedOut)
 //                                         v
-//                                   result cache (fingerprint, epoch)
+//                                   one-epoch result cache
 //                                     hit |   | miss
 //                                         |   v
 //                                         |  batch plan: delta-advance the
@@ -49,7 +49,7 @@
 //     so. The broker registers itself as a StreamObserver: each
 //     accepted event folds into its contact index (fold_contact_event,
 //     the temporal view's own rules, stream/observers.hpp) and
-//     invalidates cache entries below the new epoch.
+//     empties the cache, which holds only the epoch it serves.
 //
 // Threading contract: submit() is safe from any thread. flush() /
 // apply_events() serialize on an internal executor lock; in dispatcher
@@ -85,8 +85,6 @@ struct BrokerConfig {
   /// Bounded admission queue; submissions beyond this are shed with
   /// Rejected(kQueueFull).
   std::size_t max_queue = 1024;
-  /// Largest batch one flush executes (the rest stays queued).
-  std::size_t max_batch = 256;
   /// Thread count for batch execution: 0 = default resolution
   /// (STRUCTNET_THREADS / hardware), 1 = serial.
   std::size_t threads = 0;
@@ -97,24 +95,11 @@ struct BrokerConfig {
   /// instead of steady_clock::now(), so deadline classification is
   /// testable without sleeps. Null = the real monotonic clock.
   std::chrono::steady_clock::time_point (*now_fn)() = nullptr;
-
-  // -- self-healing update path (serve/health.hpp)
-
-  /// Bounded retry for transient update faults (RetryPolicy shape):
-  /// attempts per apply_events call, first-retry backoff, exponential
-  /// growth, and a cap on any single delay.
-  std::size_t update_max_attempts = 3;
-  std::chrono::nanoseconds update_backoff_base = std::chrono::microseconds(50);
-  std::uint32_t update_backoff_factor = 2;
-  std::chrono::nanoseconds update_backoff_cap = std::chrono::milliseconds(5);
-  /// Consecutive exhausted updates that trip the circuit to ReadOnly.
-  std::size_t circuit_threshold = 3;
-  /// Dwell time in ReadOnly before the watchdog re-probes the path.
-  std::chrono::nanoseconds probe_backoff = std::chrono::milliseconds(10);
-  /// Fault seam: checked before each update attempt; returning true
-  /// means "the update path is failing right now" (a stand-in for WAL
-  /// IO errors, full disks, ...). The seam sits BEFORE the engine
-  /// mutates, so retries never double-apply events. Null = never fails.
+  /// Fault seam of the self-healing update path (serve/health.hpp):
+  /// checked before each update attempt; returning true means "the
+  /// update path is failing right now" (a stand-in for WAL IO errors,
+  /// full disks, ...). The seam sits BEFORE the engine mutates, so
+  /// retries never double-apply events. Null = never fails.
   bool (*update_fault_fn)() = nullptr;
   /// Sleep seam for retry backoff; null = std::this_thread::sleep_for.
   void (*sleep_fn)(std::chrono::nanoseconds) = nullptr;
@@ -139,11 +124,23 @@ class QueryBroker final : public StreamObserver {
   QueryBroker(const QueryBroker&) = delete;
   QueryBroker& operator=(const QueryBroker&) = delete;
 
+  /// Largest batch one flush executes (the rest stays queued).
+  static constexpr std::size_t kMaxBatch = 256;
+  /// Bounded retry for transient update faults (RetryPolicy shape):
+  /// attempts per apply_events call, first-retry backoff, exponential
+  /// growth, and a cap on any single delay.
+  static constexpr std::size_t kUpdateMaxAttempts = 3;
+  static constexpr std::chrono::nanoseconds kUpdateBackoffBase =
+      std::chrono::microseconds(50);
+  static constexpr std::uint32_t kUpdateBackoffFactor = 2;
+  static constexpr std::chrono::nanoseconds kUpdateBackoffCap =
+      std::chrono::milliseconds(5);
+
   /// Enqueues a query; never blocks. The future resolves on a later
   /// flush (or immediately when shed / shutting down).
   std::future<QueryResult> submit(Query query, SubmitOptions options = {});
 
-  /// Executes one batch (up to config.max_batch queued queries, in
+  /// Executes one batch (up to kMaxBatch queued queries, in
   /// submission order) on the calling thread + pool. Returns the number
   /// of queries resolved. Safe to call concurrently with submit();
   /// serialized against apply_events() and the dispatcher.
@@ -154,9 +151,10 @@ class QueryBroker final : public StreamObserver {
   /// path while the dispatcher runs). Returns accepted events.
   ///
   /// Self-healing: transient faults (config.update_fault_fn) are
-  /// retried up to update_max_attempts with exponential backoff; an
+  /// retried up to kUpdateMaxAttempts with exponential backoff; an
   /// exhausted update fails the health monitor (Healthy -> Degraded,
-  /// and ReadOnly once circuit_threshold consecutive updates fail).
+  /// and ReadOnly once HealthMonitor::kCircuitThreshold consecutive
+  /// updates fail).
   /// While ReadOnly, updates fast-fail (return 0) without touching the
   /// engine — except when the probe backoff has elapsed, in which case
   /// the call doubles as the recovery probe. An exception escaping the
@@ -192,7 +190,7 @@ class QueryBroker final : public StreamObserver {
   const obs::MetricsRegistry& metrics() const { return registry_; }
 
   // StreamObserver: folds each accepted event into the contact index
-  // and invalidates the cache below the new epoch; recompute() rebases
+  // and empties the cache at the new epoch; recompute() rebases
   // the index off the view (attach time and StreamEngine::recompute_all,
   // both after the view, which is attached first).
   std::string_view name() const override { return "serve"; }

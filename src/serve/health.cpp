@@ -18,16 +18,11 @@ std::string_view to_string(HealthState state) {
   return "unknown";
 }
 
-HealthMonitor::HealthMonitor(HealthConfig config,
-                             obs::MetricsRegistry& registry,
-                             std::string_view prefix)
-    : config_(config),
-      state_gauge_(registry.gauge(std::string(prefix) + ".state")),
-      transitions_(registry.counter(std::string(prefix) + ".transitions")) {
-  if (config_.circuit_threshold == 0) config_.circuit_threshold = 1;
+HealthMonitor::HealthMonitor(obs::MetricsRegistry& registry)
+    : state_gauge_(registry.gauge("serve.health.state")),
+      transitions_(registry.counter("serve.health.transitions")) {
   for (std::size_t s = 0; s < kHealthStateCount; ++s) {
-    std::string name(prefix);
-    name += ".to_";
+    std::string name = "serve.health.to_";
     name += to_string(static_cast<HealthState>(s));
     to_state_[s] = &registry.counter(name);
   }
@@ -51,7 +46,7 @@ void HealthMonitor::on_success(TimePoint now) {
 void HealthMonitor::on_failure(TimePoint now) {
   ++consecutive_failures_;
   last_failure_ = now;  // re-arms the probe backoff
-  if (consecutive_failures_ >= config_.circuit_threshold ||
+  if (consecutive_failures_ >= kCircuitThreshold ||
       state() == HealthState::kRecovering) {
     // At the threshold — or a failed probe — the circuit (re-)opens.
     transition(HealthState::kReadOnly, now);
@@ -62,7 +57,7 @@ void HealthMonitor::on_failure(TimePoint now) {
 
 bool HealthMonitor::probe_due(TimePoint now) const {
   return state() == HealthState::kReadOnly &&
-         now - last_failure_ >= config_.probe_backoff;
+         now - last_failure_ >= kProbeBackoff;
 }
 
 void HealthMonitor::begin_probe(TimePoint now) {

@@ -25,8 +25,8 @@
 // drives it under its executor lock); state() is a lock-free atomic
 // read so the serving path and stats snapshots never contend. Every
 // transition lands in the owning metrics registry under
-// "<prefix>.state" (gauge), "<prefix>.transitions", and a per-target
-// counter "<prefix>.to_<state>".
+// "serve.health.state" (gauge), "serve.health.transitions", and a
+// per-target counter "serve.health.to_<state>".
 #pragma once
 
 #include <atomic>
@@ -47,20 +47,18 @@ enum class HealthState : std::uint8_t {
 inline constexpr std::size_t kHealthStateCount = 4;
 std::string_view to_string(HealthState state);
 
-struct HealthConfig {
-  /// Consecutive update failures that trip the circuit to ReadOnly.
-  std::size_t circuit_threshold = 3;
-  /// Dwell time in ReadOnly before a watchdog probe is due; every
-  /// further failure re-arms it.
-  std::chrono::nanoseconds probe_backoff = std::chrono::milliseconds(10);
-};
-
 class HealthMonitor {
  public:
   using TimePoint = std::chrono::steady_clock::time_point;
 
-  HealthMonitor(HealthConfig config, obs::MetricsRegistry& registry,
-                std::string_view prefix = "serve.health");
+  /// Consecutive update failures that trip the circuit to ReadOnly.
+  static constexpr std::size_t kCircuitThreshold = 3;
+  /// Dwell time in ReadOnly before a watchdog probe is due; every
+  /// further failure re-arms it.
+  static constexpr std::chrono::nanoseconds kProbeBackoff =
+      std::chrono::milliseconds(10);
+
+  explicit HealthMonitor(obs::MetricsRegistry& registry);
 
   /// Lock-free: safe from any thread, any time.
   HealthState state() const {
@@ -76,7 +74,7 @@ class HealthMonitor {
   /// circuit threshold trips ReadOnly, a failed probe re-opens the
   /// circuit. Each failure re-arms the probe backoff from `now`.
   void on_failure(TimePoint now);
-  /// True when the circuit is open and has dwelt past probe_backoff.
+  /// True when the circuit is open and has dwelt past kProbeBackoff.
   bool probe_due(TimePoint now) const;
   /// ReadOnly -> Recovering: the caller is about to attempt the probe
   /// (and will report it via on_success / on_failure).
@@ -84,12 +82,10 @@ class HealthMonitor {
 
   std::size_t consecutive_failures() const { return consecutive_failures_; }
   std::uint64_t transitions() const { return transitions_.value(); }
-  const HealthConfig& config() const { return config_; }
 
  private:
   void transition(HealthState to, TimePoint now);
 
-  HealthConfig config_;
   std::atomic<HealthState> state_{HealthState::kHealthy};
   std::size_t consecutive_failures_ = 0;
   TimePoint last_failure_{};

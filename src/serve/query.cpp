@@ -162,62 +162,6 @@ bool query_cacheable(const Query& query) {
   return true;
 }
 
-namespace {
-
-bool fits_equal(const std::vector<PowerLawFit>& a,
-                const std::vector<PowerLawFit>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].alpha != b[i].alpha || a[i].ks != b[i].ks ||
-        a[i].k_min != b[i].k_min || a[i].samples != b[i].samples) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool outcomes_equal(const std::vector<RoutingOutcome>& a,
-                    const std::vector<RoutingOutcome>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].delivered != b[i].delivered ||
-        a[i].delivery_time != b[i].delivery_time || a[i].hops != b[i].hops ||
-        a[i].copies != b[i].copies ||
-        a[i].transmissions != b[i].transmissions) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-bool payload_equal(const QueryPayload& a, const QueryPayload& b) {
-  if (a.index() != b.index()) return false;
-  return std::visit(
-      [&](const auto& lhs) {
-        using T = std::decay_t<decltype(lhs)>;
-        const auto& rhs = std::get<T>(b);
-        if constexpr (std::is_same_v<T, std::monostate>) {
-          return true;
-        } else if constexpr (std::is_same_v<T, NsfReport>) {
-          return fits_equal(lhs.fits, rhs.fits) && lhs.sizes == rhs.sizes &&
-                 lhs.exponent_stddev == rhs.exponent_stddev &&
-                 lhs.all_scale_free == rhs.all_scale_free;
-        } else if constexpr (std::is_same_v<T, RoutingTrialStats>) {
-          return outcomes_equal(lhs.outcomes, rhs.outcomes) &&
-                 lhs.delivered == rhs.delivered &&
-                 lhs.delivery_ratio == rhs.delivery_ratio &&
-                 lhs.mean_delivery_time == rhs.mean_delivery_time &&
-                 lhs.mean_hops == rhs.mean_hops &&
-                 lhs.mean_transmissions == rhs.mean_transmissions;
-        } else {
-          return lhs == rhs;  // vectors / optional<Journey> have exact ==
-        }
-      },
-      a);
-}
-
 std::size_t payload_bytes(const QueryPayload& payload) {
   constexpr std::size_t kBase = 64;  // entry bookkeeping overhead
   return kBase + std::visit(

@@ -4,7 +4,7 @@
 // current graph: temporal distances, fastest / minimum-hop journeys,
 // the NSF report, a classical centrality, or a Monte-Carlo routing
 // ensemble. Queries are values so they can be fingerprinted — the
-// fingerprint plus the DynamicGraph epoch is the result-cache key, and
+// fingerprint is the result-cache key within one DynamicGraph epoch, and
 // two equal (fingerprint, epoch) pairs are guaranteed to have equal
 // results (every kernel behind a query kind is deterministic in the
 // query and the graph state).
@@ -186,10 +186,12 @@ struct QueryResult {
   QueryPayload payload;
 };
 
-/// Exact (bit-identical for floating point) payload comparison — what
-/// the churn equivalence tests assert between served and freshly
-/// recomputed results.
-bool payload_equal(const QueryPayload& a, const QueryPayload& b);
+/// Exact payload comparison (doubles compare with ==) — what the churn
+/// equivalence tests assert between served and freshly recomputed
+/// results.
+inline bool payload_equal(const QueryPayload& a, const QueryPayload& b) {
+  return a == b;
+}
 
 /// Estimated resident bytes of a payload, the unit of the result
 /// cache's byte budget.

@@ -1,40 +1,19 @@
 #include "serve/result_cache.hpp"
 
-#include <algorithm>
+#include <iterator>
 
 namespace structnet {
 
-namespace {
-
-std::string metric_name(std::string_view prefix, std::string_view leaf) {
-  std::string name(prefix);
-  name += '.';
-  name += leaf;
-  return name;
-}
-
-}  // namespace
-
 ResultCache::ResultCache(std::size_t byte_budget,
-                         obs::MetricsRegistry* registry,
-                         std::string_view prefix)
+                         obs::MetricsRegistry& registry)
     : budget_(byte_budget),
-      owned_registry_(registry == nullptr
-                          ? std::make_unique<obs::MetricsRegistry>()
-                          : nullptr),
-      registry_(registry != nullptr ? registry : owned_registry_.get()),
-      hits_(registry_->counter(metric_name(prefix, "hits"))),
-      misses_(registry_->counter(metric_name(prefix, "misses"))),
-      inserts_(registry_->counter(metric_name(prefix, "inserts"))),
-      evictions_(registry_->counter(metric_name(prefix, "evictions"))),
-      invalidations_(registry_->counter(metric_name(prefix, "invalidations"))),
-      bytes_gauge_(registry_->gauge(metric_name(prefix, "bytes"))),
-      entries_gauge_(registry_->gauge(metric_name(prefix, "entries"))) {}
-
-std::string ResultCache::make_key(const std::string& fingerprint,
-                                  std::uint64_t epoch) {
-  return fingerprint + '@' + std::to_string(epoch);
-}
+      hits_(registry.counter("serve.cache.hits")),
+      misses_(registry.counter("serve.cache.misses")),
+      inserts_(registry.counter("serve.cache.inserts")),
+      evictions_(registry.counter("serve.cache.evictions")),
+      invalidations_(registry.counter("serve.cache.invalidations")),
+      bytes_gauge_(registry.gauge("serve.cache.bytes")),
+      entries_gauge_(registry.gauge("serve.cache.entries")) {}
 
 void ResultCache::publish_gauges() {
   bytes_gauge_.set(static_cast<std::int64_t>(bytes_));
@@ -43,7 +22,7 @@ void ResultCache::publish_gauges() {
 
 std::optional<QueryPayload> ResultCache::lookup(const std::string& fingerprint,
                                                 std::uint64_t epoch) {
-  const auto it = index_.find(make_key(fingerprint, epoch));
+  const auto it = epoch == epoch_ ? index_.find(fingerprint) : index_.end();
   if (it == index_.end()) {
     misses_.add();
     return std::nullopt;
@@ -56,8 +35,9 @@ std::optional<QueryPayload> ResultCache::lookup(const std::string& fingerprint,
 
 void ResultCache::insert(const std::string& fingerprint, std::uint64_t epoch,
                          const QueryPayload& payload) {
-  std::string key = make_key(fingerprint, epoch);
-  if (const auto it = index_.find(key); it != index_.end()) {
+  if (epoch < epoch_) return;  // computed on a graph the cache moved past
+  if (epoch > epoch_) advance(epoch);
+  if (const auto it = index_.find(fingerprint); it != index_.end()) {
     // Same-key overwrite: swap the byte charge atomically with the
     // payload so an eviction triggered below never double-counts.
     bytes_ -= it->second->bytes;
@@ -67,10 +47,9 @@ void ResultCache::insert(const std::string& fingerprint, std::uint64_t epoch,
     lru_.splice(lru_.begin(), lru_, it->second);
   } else {
     const std::size_t bytes = payload_bytes(payload);
-    lru_.push_front(Entry{key, epoch, payload, bytes});
-    index_.emplace(std::move(key), lru_.begin());
+    lru_.push_front(Entry{fingerprint, payload, bytes});
+    index_.emplace(fingerprint, lru_.begin());
     bytes_ += bytes;
-    min_epoch_ = lru_.size() == 1 ? epoch : std::min(min_epoch_, epoch);
   }
   inserts_.add();
   while (bytes_ > budget_ && !lru_.empty()) {
@@ -81,50 +60,30 @@ void ResultCache::insert(const std::string& fingerprint, std::uint64_t epoch,
 }
 
 void ResultCache::invalidate_before(std::uint64_t epoch) {
-  if (lru_.empty() || min_epoch_ >= epoch) return;
-  std::uint64_t min_left = ~std::uint64_t{0};
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->epoch < epoch) {
-      const auto doomed = it++;
-      erase_entry(doomed);
-      invalidations_.add();
-    } else {
-      min_left = std::min(min_left, it->epoch);
-      ++it;
-    }
-  }
-  min_epoch_ = lru_.empty() ? 0 : min_left;
+  if (epoch <= epoch_) return;
+  advance(epoch);
   publish_gauges();
+}
+
+void ResultCache::advance(std::uint64_t epoch) {
+  invalidations_.add(lru_.size());
+  lru_.clear();
+  index_.clear();
+  bytes_ = 0;
+  epoch_ = epoch;
 }
 
 void ResultCache::clear() {
   lru_.clear();
   index_.clear();
-  min_epoch_ = 0;
   bytes_ = 0;
   publish_gauges();
 }
 
 void ResultCache::erase_entry(Lru::iterator it) {
   bytes_ -= it->bytes;
-  index_.erase(it->key);
+  index_.erase(it->fingerprint);
   lru_.erase(it);
-  // An emptied cache holds no epoch, so the hint must not keep the old
-  // minimum (a later insert at a smaller epoch would min() against it
-  // and stay correct, but the reset keeps the fast path exact).
-  if (lru_.empty()) min_epoch_ = 0;
-}
-
-ResultCache::Stats ResultCache::stats() const {
-  Stats s;
-  s.hits = hits_.value();
-  s.misses = misses_.value();
-  s.inserts = inserts_.value();
-  s.evictions = evictions_.value();
-  s.invalidations = invalidations_.value();
-  s.bytes = bytes_;
-  s.entries = lru_.size();
-  return s;
 }
 
 ResultCache::Recount ResultCache::recount() const {

@@ -38,6 +38,8 @@ struct RoutingOutcome {
   std::size_t hops = 0;          // relay hops on the delivering copy's path
   std::size_t copies = 1;        // total copies ever created
   std::size_t transmissions = 0; // handovers + copies (radio cost)
+
+  friend bool operator==(const RoutingOutcome&, const RoutingOutcome&) = default;
 };
 
 /// Decision for a contact between a holder and a non-holder.
@@ -121,6 +123,9 @@ struct RoutingTrialStats {
   double mean_delivery_time = 0.0;  // over delivered trials
   double mean_hops = 0.0;           // over delivered trials
   double mean_transmissions = 0.0;  // over all trials
+
+  friend bool operator==(const RoutingTrialStats&,
+                         const RoutingTrialStats&) = default;
 };
 
 /// Runs `trials` independent replicas of the lossy simulation. Trial i

@@ -7,48 +7,13 @@ namespace structnet {
 
 namespace {
 
-/// Ordered erase of `x` from `list`; returns false when absent. Order
-/// preservation matters: snapshot replay must reproduce the exact same
-/// adjacency (and hence the same materialized Graph) as the live path.
-bool erase_neighbor(std::vector<VertexId>& list, VertexId x) {
+/// Ordered erase of `x` from `list`, which holds it. Order preservation
+/// matters: materialize() and a replay of the log must produce the same
+/// adjacency, and hence the same Graph, edge for edge.
+void erase_neighbor(std::vector<VertexId>& list, VertexId x) {
   const auto it = std::find(list.begin(), list.end(), x);
-  if (it == list.end()) return false;
+  assert(it != list.end());
   list.erase(it);
-  return true;
-}
-
-/// Applies one already-validated event to a bare adjacency state. Shared
-/// by the live path and snapshot replay so both evolve identically.
-void apply_to_state(std::vector<std::vector<VertexId>>& adjacency,
-                    std::vector<bool>& alive, const Event& e) {
-  switch (e.kind) {
-    case EventKind::kEdgeInsert:
-      adjacency[e.u].push_back(e.v);
-      adjacency[e.v].push_back(e.u);
-      break;
-    case EventKind::kEdgeDelete:
-      erase_neighbor(adjacency[e.u], e.v);
-      erase_neighbor(adjacency[e.v], e.u);
-      break;
-    case EventKind::kNodeJoin:
-      // The log stores the resolved id: == size for a fresh node,
-      // < size for a revival.
-      if (e.u == adjacency.size()) {
-        adjacency.emplace_back();
-        alive.push_back(true);
-      } else {
-        alive[e.u] = true;
-      }
-      break;
-    case EventKind::kNodeLeave:
-      for (VertexId w : adjacency[e.u]) erase_neighbor(adjacency[w], e.u);
-      adjacency[e.u].clear();
-      alive[e.u] = false;
-      break;
-    case EventKind::kContactAdd:
-    case EventKind::kContactRelabel:
-      break;  // temporal-only; no adjacency effect
-  }
 }
 
 }  // namespace
@@ -82,9 +47,7 @@ DynamicGraph::DynamicGraph(const Graph& g) {
   alive_.assign(g.vertex_count(), true);
   alive_count_ = g.vertex_count();
   edge_count_ = g.edge_count();
-  initial_ = ReplayCache{0, adjacency_, alive_};
-  cache_ = initial_;
-  pinned_ = initial_;
+  initial_ = materialize();
 }
 
 DynamicGraph::DynamicGraph(std::size_t n) : DynamicGraph(Graph(n)) {}
@@ -119,6 +82,8 @@ EventEffect DynamicGraph::apply(const Event& event) {
       if (has_edge(event.u, event.v)) {
         return reject(RejectReason::kDuplicateEdge);
       }
+      adjacency_[event.u].push_back(event.v);
+      adjacency_[event.v].push_back(event.u);
       ++edge_count_;
       break;
     }
@@ -129,6 +94,8 @@ EventEffect DynamicGraph::apply(const Event& event) {
       if (!has_edge(event.u, event.v)) {
         return reject(RejectReason::kMissingEdge);
       }
+      erase_neighbor(adjacency_[event.u], event.v);
+      erase_neighbor(adjacency_[event.v], event.u);
       --edge_count_;
       break;
     case EventKind::kContactAdd:
@@ -138,10 +105,14 @@ EventEffect DynamicGraph::apply(const Event& event) {
       break;
     }
     case EventKind::kNodeJoin:
+      // The log stores the resolved id: == n for a fresh node, < n for a
+      // revival.
       if (event.u == kInvalidVertex || event.u == n) {
         logged.u = static_cast<VertexId>(n);  // fresh id, normalized
+        adjacency_.emplace_back();
+        alive_.push_back(true);
       } else if (event.u < n && !alive_[event.u]) {
-        logged.u = event.u;  // revival
+        alive_[event.u] = true;  // revival
       } else if (event.u < n) {
         return reject(RejectReason::kAlreadyAlive);
       } else {
@@ -155,13 +126,15 @@ EventEffect DynamicGraph::apply(const Event& event) {
       if (!alive_[event.u]) return reject(RejectReason::kDeadVertex);
       for (VertexId w : adjacency_[event.u]) {
         effect.removed_edges.push_back(Graph::Edge{event.u, w});
+        erase_neighbor(adjacency_[w], event.u);
       }
+      adjacency_[event.u].clear();
+      alive_[event.u] = false;
       edge_count_ -= effect.removed_edges.size();
       --alive_count_;
       break;
   }
 
-  apply_to_state(adjacency_, alive_, logged);
   log_.push_back(logged);
   ++epoch_;  // exactly one bump per accepted event (monotonicity guarantee)
   assert(epoch_ == log_.size());
@@ -169,36 +142,14 @@ EventEffect DynamicGraph::apply(const Event& event) {
   return effect;
 }
 
-Graph DynamicGraph::materialize_at(std::uint64_t epoch) const {
-  assert(epoch <= log_.size());
-  const bool backward = cache_.epoch > epoch;
-  if (backward) {
-    // Restart from the pinned checkpoint when it is at or below the
-    // target instead of replaying the whole history from epoch 0.
-    cache_ = pinned_.epoch <= epoch ? pinned_ : initial_;
-  }
-  while (cache_.epoch < epoch) {
-    apply_to_state(cache_.adjacency, cache_.alive, log_[cache_.epoch]);
-    ++cache_.epoch;
-    ++replayed_;
-  }
-  if (backward) {
-    // Pin the old epoch just read: the next backward read of it is a
-    // state copy and the next forward read replays only the delta.
-    pinned_ = cache_;
-  }
-  Graph g(cache_.adjacency.size());
-  for (VertexId v = 0; v < cache_.adjacency.size(); ++v) {
-    for (VertexId w : cache_.adjacency[v]) {
+Graph DynamicGraph::materialize() const {
+  Graph g(adjacency_.size());
+  for (VertexId v = 0; v < adjacency_.size(); ++v) {
+    for (VertexId w : adjacency_[v]) {
       if (v < w) g.add_edge(v, w);
     }
   }
   return g;
-}
-
-Graph GraphSnapshot::materialize() const {
-  assert(owner_ != nullptr);
-  return owner_->materialize_at(epoch_);
 }
 
 }  // namespace structnet

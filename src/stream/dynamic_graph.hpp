@@ -1,10 +1,10 @@
 // Versioned dynamic graph: the mutable "current" view of the stream.
 //
-// Every accepted event bumps an epoch counter and is appended to a delta
-// log, so a snapshot handle is O(1) to take — it is just (owner, epoch).
-// Materialising a snapshot replays the delta log copy-on-read: the graph
-// keeps one cached replay state and rolls it forward by the log suffix,
-// so repeated reads of advancing epochs cost O(delta), not O(history).
+// Every accepted event bumps an epoch counter and is appended to the
+// event log. The graph holds only the epoch it serves: the live
+// adjacency, which materialize() copies into a static Graph, plus the
+// epoch-0 graph. History lives in the log, so any past epoch is a
+// replay of log() over initial() (what a checkpoint stores).
 //
 // Vertex ids are stable for the lifetime of the graph: a leaving node
 // keeps its id (marked dead) and may later revive via NodeJoin(id).
@@ -19,8 +19,6 @@
 #include "stream/event.hpp"
 
 namespace structnet {
-
-class DynamicGraph;
 
 /// Why a submitted event was rejected. kNone marks accepted events; the
 /// rest form the per-reason taxonomy StreamEngine counts.
@@ -51,24 +49,6 @@ struct EventEffect {
   std::vector<Graph::Edge> removed_edges;
 };
 
-/// O(1) handle to the graph as of a fixed epoch. Valid while the owning
-/// DynamicGraph is alive; materialising costs O(delta since the cached
-/// replay state) on the owner's shared cache.
-class GraphSnapshot {
- public:
-  GraphSnapshot() = default;
-  std::uint64_t epoch() const { return epoch_; }
-  /// The static graph at this epoch (dead vertices present but isolated).
-  Graph materialize() const;
-
- private:
-  friend class DynamicGraph;
-  GraphSnapshot(const DynamicGraph* owner, std::uint64_t epoch)
-      : owner_(owner), epoch_(epoch) {}
-  const DynamicGraph* owner_ = nullptr;
-  std::uint64_t epoch_ = 0;
-};
-
 class DynamicGraph {
  public:
   DynamicGraph() = default;
@@ -96,8 +76,8 @@ class DynamicGraph {
   /// graph) untouched — so epoch() is strictly monotone over accepted
   /// events and two reads returning the same value bracket an interval
   /// with no graph change. The serve-layer result cache relies on this:
-  /// a (query fingerprint, epoch) key can never alias two different
-  /// graph states. apply() asserts the counter stays in lock-step with
+  /// a result cached at one epoch can never be served for a different
+  /// graph state. apply() asserts the counter stays in lock-step with
   /// the event log.
   std::uint64_t epoch() const { return epoch_; }
   /// The normalized log of accepted events (index = epoch at application).
@@ -108,24 +88,15 @@ class DynamicGraph {
   /// untouched and return effect.accepted == false.
   EventEffect apply(const Event& event);
 
-  /// O(1) snapshot of the current epoch.
-  GraphSnapshot snapshot() const { return GraphSnapshot(this, epoch()); }
-  /// O(1) snapshot of any past epoch (at <= epoch()). snapshot_at(0) is
-  /// the initial state — what a checkpoint stores alongside the log.
-  GraphSnapshot snapshot_at(std::uint64_t at) const {
-    return GraphSnapshot(this, at);
-  }
-  /// The current static graph (== snapshot().materialize()).
-  Graph materialize() const { return materialize_at(epoch()); }
-
-  /// Total log events replayed by materializations so far — the replay
-  /// work metric the snapshot-cache regression tests bound.
-  std::uint64_t replayed_events() const { return replayed_; }
+  /// The current static graph (dead vertices present but isolated). A
+  /// pure read of the live adjacency: concurrent calls are safe while no
+  /// thread applies events.
+  Graph materialize() const;
+  /// The static graph at epoch 0. Replaying log() over it reproduces
+  /// materialize() edge for edge.
+  const Graph& initial() const { return initial_; }
 
  private:
-  friend class GraphSnapshot;
-  Graph materialize_at(std::uint64_t epoch) const;
-
   std::vector<std::vector<VertexId>> adjacency_;
   std::vector<bool> alive_;
   std::size_t alive_count_ = 0;
@@ -133,23 +104,7 @@ class DynamicGraph {
   std::vector<Event> log_;
   /// == log_.size(); kept separately as the epoch() fast path.
   std::uint64_t epoch_ = 0;
-
-  /// Replay state for snapshot materialisation: the adjacency as of
-  /// `epoch`, rolled forward on demand (copy-on-read).
-  struct ReplayCache {
-    std::uint64_t epoch = 0;
-    std::vector<std::vector<VertexId>> adjacency;
-    std::vector<bool> alive;
-  };
-  /// Epoch-0 state, the base every replay can restart from.
-  ReplayCache initial_;
-  mutable ReplayCache cache_;
-  /// Second checkpoint, pinned at the target of the last backward read.
-  /// Interleaved old/new snapshot reads (old epoch A, new epoch B) cost
-  /// O(state copy) for A and O(B - A) replay for B instead of replaying
-  /// the whole history from epoch 0 on every backward read.
-  mutable ReplayCache pinned_;
-  mutable std::uint64_t replayed_ = 0;
+  Graph initial_;
 };
 
 }  // namespace structnet

@@ -47,11 +47,6 @@ std::vector<double> temporal_closeness(const TemporalGraph& eg,
   return closeness_over_index(csr, threads);
 }
 
-std::vector<double> temporal_closeness(const TemporalCsr& csr,
-                                       std::size_t threads) {
-  return closeness_over_index(csr, threads);
-}
-
 std::vector<double> temporal_closeness(const DeltaTemporalCsr& csr,
                                        std::size_t threads) {
   return closeness_over_index(csr, threads);

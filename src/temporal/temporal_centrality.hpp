@@ -12,7 +12,6 @@
 
 namespace structnet {
 
-class TemporalCsr;
 class DeltaTemporalCsr;
 
 // The all-sources sweeps below shard lane-packed multi-source blocks
@@ -26,10 +25,8 @@ class DeltaTemporalCsr;
 /// time 0 (unreachable contributes 0). Higher = reaches others sooner.
 std::vector<double> temporal_closeness(const TemporalGraph& eg,
                                        std::size_t threads = 0);
-/// Same, over an already-built contact index (what the serving layer
-/// uses for CentralityMeasure::kTemporalCloseness).
-std::vector<double> temporal_closeness(const TemporalCsr& csr,
-                                       std::size_t threads = 0);
+/// Same, over the serving layer's contact index (what it uses for
+/// CentralityMeasure::kTemporalCloseness).
 std::vector<double> temporal_closeness(const DeltaTemporalCsr& csr,
                                        std::size_t threads = 0);
 

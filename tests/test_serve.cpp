@@ -4,6 +4,7 @@
 // at any thread count, under interleaved churn.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -38,53 +39,90 @@ QueryPayload make_payload(std::vector<TimeUnit> v) {
   return QueryPayload(std::move(v));
 }
 
+std::uint64_t counter(const obs::MetricsRegistry& registry,
+                      std::string_view name) {
+  return registry.snapshot().counter_value(name);
+}
+
+std::int64_t gauge(const obs::MetricsRegistry& registry,
+                   std::string_view name) {
+  return registry.snapshot().gauge_value(name);
+}
+
 TEST(ResultCacheTest, HitsMissesAndLruEviction) {
-  ResultCache cache(payload_bytes(make_payload({1, 2, 3})) * 2);
+  obs::MetricsRegistry reg;
+  ResultCache cache(payload_bytes(make_payload({1, 2, 3})) * 2, reg);
 
   EXPECT_FALSE(cache.lookup("a", 1).has_value());
-  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(counter(reg, "serve.cache.misses"), 1u);
 
   cache.insert("a", 1, make_payload({1, 2, 3}));
   cache.insert("b", 1, make_payload({4, 5, 6}));
   ASSERT_TRUE(cache.lookup("a", 1).has_value());
   EXPECT_TRUE(payload_equal(*cache.lookup("a", 1), make_payload({1, 2, 3})));
-  EXPECT_EQ(cache.stats().entries, 2u);
+  EXPECT_EQ(gauge(reg, "serve.cache.entries"), 2);
+  EXPECT_EQ(counter(reg, "serve.cache.hits"), 2u);
 
   // "a" was refreshed by the lookups, so inserting "c" evicts "b".
   cache.insert("c", 1, make_payload({7, 8, 9}));
-  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(counter(reg, "serve.cache.evictions"), 1u);
   EXPECT_TRUE(cache.lookup("a", 1).has_value());
   EXPECT_FALSE(cache.lookup("b", 1).has_value());
   EXPECT_TRUE(cache.lookup("c", 1).has_value());
 }
 
 TEST(ResultCacheTest, EpochIsPartOfTheKey) {
-  ResultCache cache(1 << 20);
+  // A lookup at any epoch but the cache's own misses.
+  obs::MetricsRegistry reg;
+  ResultCache cache(1 << 20, reg);
   cache.insert("q", 3, make_payload({1}));
   EXPECT_FALSE(cache.lookup("q", 4).has_value());
+  EXPECT_FALSE(cache.lookup("q", 2).has_value());
   EXPECT_TRUE(cache.lookup("q", 3).has_value());
 }
 
 TEST(ResultCacheTest, InvalidateBeforeDropsOnlyStaleEpochs) {
-  ResultCache cache(1 << 20);
-  cache.insert("a", 1, make_payload({1}));
+  // The cache holds one epoch: a newer insert drops (and counts) every
+  // older entry; an older insert is not stored and evicts nothing.
+  obs::MetricsRegistry reg;
+  ResultCache cache(1 << 20, reg);
+  cache.insert("a", 2, make_payload({1}));
   cache.insert("b", 2, make_payload({2}));
   cache.insert("c", 5, make_payload({3}));
-  cache.invalidate_before(5);
-  EXPECT_EQ(cache.stats().invalidations, 2u);
-  EXPECT_FALSE(cache.lookup("a", 1).has_value());
-  EXPECT_FALSE(cache.lookup("b", 2).has_value());
+  EXPECT_EQ(counter(reg, "serve.cache.invalidations"), 2u);
+  EXPECT_EQ(gauge(reg, "serve.cache.entries"), 1);
+  EXPECT_FALSE(cache.lookup("a", 2).has_value());
+  EXPECT_FALSE(cache.lookup("a", 5).has_value());
   EXPECT_TRUE(cache.lookup("c", 5).has_value());
-  // Fast path: nothing below 5 remains, so this is a no-op.
+
+  cache.insert("d", 4, make_payload({4}));
+  EXPECT_EQ(counter(reg, "serve.cache.inserts"), 3u);
+  EXPECT_EQ(counter(reg, "serve.cache.evictions"), 0u);
+  EXPECT_EQ(counter(reg, "serve.cache.invalidations"), 2u);
+  EXPECT_EQ(gauge(reg, "serve.cache.entries"), 1);
+  EXPECT_FALSE(cache.lookup("d", 4).has_value());
+  EXPECT_FALSE(cache.lookup("d", 5).has_value());
+  EXPECT_TRUE(cache.lookup("c", 5).has_value());
+
+  // invalidate_before() keeps the cache's own epoch and drops it for a
+  // newer one.
   cache.invalidate_before(5);
-  EXPECT_EQ(cache.stats().invalidations, 2u);
+  EXPECT_TRUE(cache.lookup("c", 5).has_value());
+  cache.invalidate_before(6);
+  EXPECT_EQ(counter(reg, "serve.cache.invalidations"), 3u);
+  EXPECT_EQ(gauge(reg, "serve.cache.entries"), 0);
+  EXPECT_EQ(gauge(reg, "serve.cache.bytes"), 0);
+  EXPECT_FALSE(cache.lookup("c", 5).has_value());
 }
 
 TEST(ResultCacheTest, InsertReplacesExistingKey) {
-  ResultCache cache(1 << 20);
+  obs::MetricsRegistry reg;
+  ResultCache cache(1 << 20, reg);
   cache.insert("k", 1, make_payload({1, 2}));
   cache.insert("k", 1, make_payload({9}));
-  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(gauge(reg, "serve.cache.entries"), 1);
+  EXPECT_EQ(gauge(reg, "serve.cache.bytes"),
+            static_cast<std::int64_t>(payload_bytes(make_payload({9}))));
   EXPECT_TRUE(payload_equal(*cache.lookup("k", 1), make_payload({9})));
 }
 
@@ -140,7 +178,7 @@ QueryResult run_one(QueryBroker& broker, Query q, SubmitOptions opt = {}) {
 
 /// One counter of the broker's metrics registry.
 std::uint64_t counter(const QueryBroker& broker, std::string_view name) {
-  return broker.metrics().snapshot().counter_value(name);
+  return counter(broker.metrics(), name);
 }
 
 TEST(QueryBrokerTest, EachKindMatchesDirectComputation) {
@@ -735,15 +773,21 @@ TEST(ResultCacheTest, ChurnKeepsByteAccountingExact) {
   // Deterministic churn across every mutation path — same-key
   // overwrites (shrinking and growing), budget evictions, epoch
   // invalidations, clear — asserting after every operation that the
-  // tracked bytes/entries equal a full recount of the live entries.
+  // published bytes/entries gauges equal a full recount of the live
+  // entries.
   Rng rng(99);
-  ResultCache cache(/*byte_budget=*/600);
+  obs::MetricsRegistry reg;
+  ResultCache cache(/*byte_budget=*/600, reg);
   const auto assert_exact = [&](const char* where, std::size_t step) {
     const ResultCache::Recount r = cache.recount();
-    const ResultCache::Stats s = cache.stats();
-    ASSERT_EQ(s.bytes, r.bytes) << where << " step " << step;
-    ASSERT_EQ(s.entries, r.entries) << where << " step " << step;
-    ASSERT_LE(s.bytes, cache.byte_budget()) << where << " step " << step;
+    const std::int64_t bytes = gauge(reg, "serve.cache.bytes");
+    const std::int64_t entries = gauge(reg, "serve.cache.entries");
+    ASSERT_EQ(bytes, static_cast<std::int64_t>(r.bytes))
+        << where << " step " << step;
+    ASSERT_EQ(entries, static_cast<std::int64_t>(r.entries))
+        << where << " step " << step;
+    ASSERT_LE(bytes, static_cast<std::int64_t>(cache.byte_budget()))
+        << where << " step " << step;
   };
   std::uint64_t epoch = 1;
   for (std::size_t step = 0; step < 500; ++step) {
@@ -771,10 +815,13 @@ TEST(ResultCacheTest, ChurnKeepsByteAccountingExact) {
       assert_exact("clear", step);
     }
   }
+  // The churn reached every drop path.
+  EXPECT_GT(counter(reg, "serve.cache.evictions"), 0u);
+  EXPECT_GT(counter(reg, "serve.cache.invalidations"), 0u);
   // Drain and confirm the empty cache accounts to zero.
   cache.invalidate_before(epoch + 1);
-  EXPECT_EQ(cache.stats().bytes, 0u);
-  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(gauge(reg, "serve.cache.bytes"), 0);
+  EXPECT_EQ(gauge(reg, "serve.cache.entries"), 0);
   EXPECT_EQ(cache.recount().bytes, 0u);
 }
 
@@ -944,8 +991,12 @@ TEST(QueryBrokerTest, WorkspaceRebindsAfterVertexGrowthBetweenBatches) {
 // --------------------------------------------- self-healing update path
 
 TEST(HealthMonitorTest, StateMachineFollowsTheDiagram) {
+  // The walk below degrades before it trips, so it needs a threshold
+  // of at least two failures.
+  static_assert(HealthMonitor::kCircuitThreshold >= 2);
+  constexpr std::int64_t kBackoff = HealthMonitor::kProbeBackoff.count();
   obs::MetricsRegistry reg;
-  HealthMonitor hm(HealthConfig{2, std::chrono::nanoseconds(100)}, reg);
+  HealthMonitor hm(reg);
   const auto at = [](std::int64_t ns) {
     return HealthMonitor::TimePoint(std::chrono::nanoseconds(ns));
   };
@@ -961,24 +1012,32 @@ TEST(HealthMonitorTest, StateMachineFollowsTheDiagram) {
   EXPECT_EQ(hm.state(), HealthState::kHealthy);
   EXPECT_EQ(hm.consecutive_failures(), 0u);
 
-  // A streak at the threshold trips the circuit.
-  hm.on_failure(at(10));
-  hm.on_failure(at(20));
+  // A streak below the threshold degrades; the streak at the threshold
+  // trips the circuit.
+  std::int64_t t = 10;
+  for (std::size_t i = 1; i < HealthMonitor::kCircuitThreshold; ++i, t += 10) {
+    hm.on_failure(at(t));
+    EXPECT_EQ(hm.state(), HealthState::kDegraded);
+  }
+  hm.on_failure(at(t));
   EXPECT_EQ(hm.state(), HealthState::kReadOnly);
-  EXPECT_FALSE(hm.probe_due(at(100)));  // 80ns dwelt < 100ns backoff
-  EXPECT_TRUE(hm.probe_due(at(120)));
+  EXPECT_EQ(hm.consecutive_failures(), HealthMonitor::kCircuitThreshold);
+  EXPECT_FALSE(hm.probe_due(at(t + kBackoff - 1)));  // dwelt < backoff
+  EXPECT_TRUE(hm.probe_due(at(t + kBackoff)));
 
-  hm.begin_probe(at(120));
+  t += kBackoff;
+  hm.begin_probe(at(t));
   EXPECT_EQ(hm.state(), HealthState::kRecovering);
-  EXPECT_FALSE(hm.probe_due(at(1000)));  // only due while ReadOnly
+  EXPECT_FALSE(hm.probe_due(at(t + 100 * kBackoff)));  // only while ReadOnly
 
   // A failed probe re-opens the circuit and re-arms the backoff.
-  hm.on_failure(at(130));
+  t += 10;
+  hm.on_failure(at(t));
   EXPECT_EQ(hm.state(), HealthState::kReadOnly);
-  EXPECT_FALSE(hm.probe_due(at(200)));  // re-armed from 130
-  EXPECT_TRUE(hm.probe_due(at(230)));
-  hm.begin_probe(at(230));
-  hm.on_success(at(240));
+  EXPECT_FALSE(hm.probe_due(at(t + kBackoff - 1)));  // re-armed from t
+  EXPECT_TRUE(hm.probe_due(at(t + kBackoff)));
+  hm.begin_probe(at(t + kBackoff));
+  hm.on_success(at(t + kBackoff + 10));
   EXPECT_EQ(hm.state(), HealthState::kHealthy);
   EXPECT_EQ(hm.consecutive_failures(), 0u);
 
@@ -1008,61 +1067,80 @@ bool toggled_fault() { return g_fault_on.load(); }
 std::atomic<std::int64_t> g_slept_ns{0};
 void recording_sleep(std::chrono::nanoseconds d) { g_slept_ns += d.count(); }
 
+/// Exhausted updates that trip the broker's circuit: every attempt of
+/// each call hits the (still failing) fault seam.
+void trip_circuit(QueryBroker& broker, const Event& e) {
+  for (std::size_t i = 1; i < HealthMonitor::kCircuitThreshold; ++i) {
+    EXPECT_EQ(broker.apply_events({&e, 1}), 0u);
+    EXPECT_EQ(broker.health(), HealthState::kDegraded);
+  }
+  EXPECT_EQ(broker.apply_events({&e, 1}), 0u);
+  EXPECT_EQ(broker.health(), HealthState::kReadOnly);
+}
+
 TEST(QueryBrokerTest, TransientUpdateFaultRetriesWithBackoffThenApplies) {
   ServeRig rig;
   BrokerConfig cfg;
   cfg.update_fault_fn = &budgeted_fault;
   cfg.sleep_fn = &recording_sleep;
-  cfg.update_max_attempts = 3;
-  cfg.update_backoff_base = std::chrono::nanoseconds(1000);
-  cfg.update_backoff_factor = 2;
-  cfg.update_backoff_cap = std::chrono::milliseconds(5);
   QueryBroker broker(rig.engine, &rig.view, cfg);
 
+  // One transient fault per retry the broker allows: the last attempt
+  // is clean.
+  constexpr std::size_t kFaults = QueryBroker::kUpdateMaxAttempts - 1;
+  static_assert(kFaults >= 1);
   const std::uint64_t epoch0 = rig.engine.graph().epoch();
-  g_fault_budget.store(2);  // two transient faults, third attempt clean
+  g_fault_budget.store(static_cast<int>(kFaults));
   g_slept_ns.store(0);
   const Event e = Event::contact_add(0, 1, 3);
   EXPECT_EQ(broker.apply_events({&e, 1}), 1u);
   EXPECT_EQ(rig.engine.graph().epoch(), epoch0 + 1);  // applied exactly once
   EXPECT_EQ(broker.health(), HealthState::kHealthy);
-  EXPECT_EQ(g_slept_ns.load(), 1000 + 2000);  // base, then base*factor
+  // Retry k sleeps base * factor^(k-1), capped.
+  std::chrono::nanoseconds want_sleep{0};
+  std::chrono::nanoseconds delay = QueryBroker::kUpdateBackoffBase;
+  for (std::size_t k = 0; k < kFaults; ++k) {
+    want_sleep += delay;
+    delay = std::min(delay * QueryBroker::kUpdateBackoffFactor,
+                     QueryBroker::kUpdateBackoffCap);
+  }
+  EXPECT_EQ(g_slept_ns.load(), want_sleep.count());
 
   const obs::MetricsRegistry::Snapshot snap = broker.metrics().snapshot();
-  EXPECT_EQ(snap.counter_value("serve.update.faults"), 2u);
-  EXPECT_EQ(snap.counter_value("serve.update.retries"), 2u);
+  EXPECT_EQ(snap.counter_value("serve.update.faults"), kFaults);
+  EXPECT_EQ(snap.counter_value("serve.update.retries"), kFaults);
   EXPECT_EQ(snap.counter_value("serve.update.failures"), 0u);
   EXPECT_EQ(snap.counter_value("serve.health.transitions"), 0u);
 }
 
 TEST(QueryBrokerTest, PersistentFaultTripsCircuitServesStaleThenHeals) {
+  static_assert(HealthMonitor::kCircuitThreshold >= 2);
+  constexpr std::int64_t kBackoff = HealthMonitor::kProbeBackoff.count();
   ServeRig rig;
   BrokerConfig cfg;
   cfg.now_fn = &fake_now;  // deterministic probe-backoff clock
   cfg.update_fault_fn = &toggled_fault;
   cfg.sleep_fn = &recording_sleep;
-  cfg.update_max_attempts = 1;  // no retries: each call is one failure
-  cfg.circuit_threshold = 2;
-  cfg.probe_backoff = std::chrono::nanoseconds(1000);
   QueryBroker broker(rig.engine, &rig.view, cfg);
 
   const std::uint64_t good_epoch = rig.engine.graph().epoch();
   const Event e = Event::contact_add(0, 1, 3);
 
-  // Two exhausted updates: Healthy -> Degraded -> ReadOnly.
+  // Exhausted updates: Healthy -> Degraded -> ... -> ReadOnly.
   g_fake_now_ns.store(0);
   g_fault_on.store(true);
-  EXPECT_EQ(broker.apply_events({&e, 1}), 0u);
-  EXPECT_EQ(broker.health(), HealthState::kDegraded);
-  EXPECT_EQ(broker.apply_events({&e, 1}), 0u);
-  EXPECT_EQ(broker.health(), HealthState::kReadOnly);
+  trip_circuit(broker, e);
   EXPECT_EQ(rig.engine.graph().epoch(), good_epoch);  // engine untouched
+  const std::uint64_t trip_faults =
+      HealthMonitor::kCircuitThreshold * QueryBroker::kUpdateMaxAttempts;
+  EXPECT_EQ(counter(broker, "serve.update.faults"), trip_faults);
 
   // Circuit open, backoff not elapsed: updates fast-fail without
   // touching the fault seam (no retry burn).
-  g_fake_now_ns.store(500);
+  g_fake_now_ns.store(kBackoff / 2);
   EXPECT_EQ(broker.apply_events({&e, 1}), 0u);
   EXPECT_EQ(counter(broker, "serve.update.rejected_read_only"), 1u);
+  EXPECT_EQ(counter(broker, "serve.update.faults"), trip_faults);
 
   // Queries keep serving the last good epoch, annotated stale.
   const auto stale = run_one(broker, TemporalDistancesQuery{2, 0});
@@ -1076,17 +1154,17 @@ TEST(QueryBrokerTest, PersistentFaultTripsCircuitServesStaleThenHeals) {
 
   // Backoff elapsed but the fault persists: the update doubles as the
   // probe, fails, and re-opens the circuit (backoff re-armed).
-  g_fake_now_ns.store(2000);
+  g_fake_now_ns.store(2 * kBackoff);
   EXPECT_EQ(broker.apply_events({&e, 1}), 0u);
   EXPECT_EQ(broker.health(), HealthState::kReadOnly);
-  g_fake_now_ns.store(2500);  // 500ns since the re-arm: not due yet
+  g_fake_now_ns.store(2 * kBackoff + kBackoff / 2);  // not due yet
   EXPECT_EQ(broker.apply_events({&e, 1}), 0u);
   EXPECT_EQ(counter(broker, "serve.update.rejected_read_only"), 2u);
 
   // Fault clears, backoff elapses: probe succeeds, the update applies,
   // and the broker returns to Healthy — results lose the stale mark.
   g_fault_on.store(false);
-  g_fake_now_ns.store(4000);
+  g_fake_now_ns.store(4 * kBackoff);
   EXPECT_EQ(broker.apply_events({&e, 1}), 1u);
   EXPECT_EQ(broker.health(), HealthState::kHealthy);
   EXPECT_EQ(rig.engine.graph().epoch(), good_epoch + 1);
@@ -1100,8 +1178,14 @@ TEST(QueryBrokerTest, PersistentFaultTripsCircuitServesStaleThenHeals) {
   const obs::MetricsRegistry::Snapshot snap = broker.metrics().snapshot();
   // H->D, D->RO, RO->Rec, Rec->RO, RO->Rec, Rec->H.
   EXPECT_EQ(snap.counter_value("serve.health.transitions"), 6u);
-  // Two trips + one failed probe; probes: failed + successful.
-  EXPECT_EQ(snap.counter_value("serve.update.failures"), 3u);
+  // The trip plus one failed probe, each burning every attempt.
+  const std::uint64_t failed_calls = HealthMonitor::kCircuitThreshold + 1;
+  EXPECT_EQ(snap.counter_value("serve.update.failures"), failed_calls);
+  EXPECT_EQ(snap.counter_value("serve.update.faults"),
+            failed_calls * QueryBroker::kUpdateMaxAttempts);
+  EXPECT_EQ(snap.counter_value("serve.update.retries"),
+            failed_calls * (QueryBroker::kUpdateMaxAttempts - 1));
+  // Probes: failed + successful.
   EXPECT_EQ(snap.counter_value("serve.update.probes"), 2u);
   EXPECT_EQ(snap.counter_value("serve.update.rejected_read_only"), 2u);
   EXPECT_EQ(snap.gauge_value("serve.health.state"),
@@ -1109,32 +1193,35 @@ TEST(QueryBrokerTest, PersistentFaultTripsCircuitServesStaleThenHeals) {
 }
 
 TEST(QueryBrokerTest, ManualProbeRespectsBackoffAndOutcome) {
+  constexpr std::int64_t kBackoff = HealthMonitor::kProbeBackoff.count();
   ServeRig rig;
   BrokerConfig cfg;
   cfg.now_fn = &fake_now;
   cfg.update_fault_fn = &toggled_fault;
-  cfg.update_max_attempts = 1;
-  cfg.circuit_threshold = 1;
-  cfg.probe_backoff = std::chrono::nanoseconds(1000);
+  cfg.sleep_fn = &recording_sleep;
   QueryBroker broker(rig.engine, &rig.view, cfg);
 
   g_fake_now_ns.store(0);
   g_fault_on.store(true);
   const Event e = Event::contact_add(0, 1, 3);
-  EXPECT_EQ(broker.apply_events({&e, 1}), 0u);
+  trip_circuit(broker, e);
   ASSERT_EQ(broker.health(), HealthState::kReadOnly);
 
   EXPECT_FALSE(broker.probe());  // not due yet: no state change
   EXPECT_EQ(broker.health(), HealthState::kReadOnly);
 
-  g_fake_now_ns.store(1500);
+  g_fake_now_ns.store(kBackoff + kBackoff / 2);
   EXPECT_FALSE(broker.probe());  // due, but the fault persists
   EXPECT_EQ(broker.health(), HealthState::kReadOnly);
 
   g_fault_on.store(false);
-  g_fake_now_ns.store(3000);
+  g_fake_now_ns.store(2 * kBackoff);  // re-armed at 1.5x: not due yet
+  EXPECT_FALSE(broker.probe());
+  EXPECT_EQ(broker.health(), HealthState::kReadOnly);
+  g_fake_now_ns.store(3 * kBackoff);
   EXPECT_TRUE(broker.probe());
   EXPECT_EQ(broker.health(), HealthState::kHealthy);
+  EXPECT_EQ(counter(broker, "serve.update.probes"), 2u);
   EXPECT_EQ(broker.apply_events({&e, 1}), 1u);
 }
 
@@ -1144,16 +1231,13 @@ TEST(QueryBrokerTest, WatchdogHealsCircuitWithoutTraffic) {
   ServeRig rig;
   BrokerConfig cfg;
   cfg.update_fault_fn = &toggled_fault;
-  cfg.update_max_attempts = 1;
-  cfg.circuit_threshold = 1;
-  cfg.probe_backoff = std::chrono::milliseconds(1);
+  cfg.sleep_fn = &recording_sleep;
   QueryBroker broker(rig.engine, &rig.view, cfg);
   broker.start();
 
   g_fault_on.store(true);
   const Event e = Event::contact_add(0, 1, 3);
-  EXPECT_EQ(broker.apply_events({&e, 1}), 0u);
-  EXPECT_EQ(broker.health(), HealthState::kReadOnly);
+  trip_circuit(broker, e);
 
   g_fault_on.store(false);
   const auto deadline =
