@@ -344,7 +344,7 @@ void churn_index_maintenance_table() {
         delta.remove_label(op.u, op.v, op.t);
       }
     }
-    const bool compact = delta.needs_compaction(0.25);
+    const bool compact = delta.needs_compaction();
     const auto d1 = now();
     delta_round_ns.push_back(ns_between(d0, d1));
 

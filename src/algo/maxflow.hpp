@@ -31,7 +31,6 @@ class FlowNetwork {
 
   /// Flow currently assigned to the arc returned by add_arc.
   std::int64_t flow_on(std::size_t arc) const;
-  std::int64_t capacity_of(std::size_t arc) const { return arcs_[arc].cap0; }
 
   /// Resets all flow to zero (keeps topology and capacities).
   void reset_flow();

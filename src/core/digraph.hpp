@@ -37,7 +37,6 @@ class Digraph {
   bool has_arc(VertexId from, VertexId to) const;
 
   std::span<const VertexId> out_neighbors(VertexId v) const { return out_[v]; }
-  std::span<const VertexId> in_neighbors(VertexId v) const { return in_[v]; }
   std::size_t out_degree(VertexId v) const { return out_[v].size(); }
   std::size_t in_degree(VertexId v) const { return in_[v].size(); }
 

@@ -99,35 +99,15 @@ bool FaultPlan::transmission_lost(VertexId u, VertexId v, TimeUnit t) const {
   return draw < contact_loss_;
 }
 
-namespace {
-obs::Counter& degraded_builds_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::global().counter("fault.degraded_builds");
-  return c;
-}
-}  // namespace
-
 TemporalGraph FaultPlan::degraded(const TemporalGraph& trace) const {
   STRUCTNET_OBS_SPAN("fault.degraded_build");
-  degraded_builds_counter().add();
+  static obs::Counter& builds =
+      obs::MetricsRegistry::global().counter("fault.degraded_builds");
+  builds.add();
   TemporalGraph out(trace.vertex_count(), trace.horizon());
   for (const auto& edge : trace.edges()) {
     for (const TimeUnit t : edge.labels) {
       if (contact_works(edge.u, edge.v, t)) out.add_contact(edge.u, edge.v, t);
-    }
-  }
-  return out;
-}
-
-TemporalGraph FaultPlan::degraded(const TemporalCsr& trace) const {
-  STRUCTNET_OBS_SPAN("fault.degraded_build");
-  degraded_builds_counter().add();
-  TemporalGraph out(trace.vertex_count(), trace.horizon());
-  for (EdgeId e = 0; e < trace.edge_count(); ++e) {
-    const VertexId u = trace.edge_u(e);
-    const VertexId v = trace.edge_v(e);
-    for (const TimeUnit t : trace.edge_labels(e)) {
-      if (contact_works(u, v, t)) out.add_contact(u, v, t);
     }
   }
   return out;

@@ -19,9 +19,9 @@
 // blackouts are schedule (always bite), loss is stochastic (seeded).
 //
 // One plan serves two consumers:
-//   * offline contact filter: degraded() maps a TemporalGraph or
-//     TemporalCsr to the trace an analysis in the faulty world would
-//     have seen (faulty contacts removed);
+//   * offline contact filter: degraded() maps a TemporalGraph to the
+//     trace an analysis in the faulty world would have seen (faulty
+//     contacts removed);
 //   * online transmission hook: simulate_routing consults the plan per
 //     handover; schedule faults suppress the contact outright, a loss
 //     draw burns a transmission but delivers nothing (sim/dtn_routing).
@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "core/types.hpp"
-#include "temporal/temporal_csr.hpp"
 #include "temporal/temporal_graph.hpp"
 
 namespace structnet {
@@ -69,10 +68,6 @@ class FaultPlan {
 
   std::uint64_t seed() const { return seed_; }
   double contact_loss() const { return contact_loss_; }
-  std::size_t outage_count() const { return outages_.size(); }
-  std::size_t blackout_count() const {
-    return link_blackouts_.size() + global_blackouts_.size();
-  }
 
   /// Sets the per-contact transmission loss probability (clamped to
   /// [0, 1]). Returns *this for fluent composition.
@@ -102,9 +97,6 @@ class FaultPlan {
   /// Edges whose label sets empty out are dropped entirely, so edge ids
   /// of the degraded copy need not match the source's.
   TemporalGraph degraded(const TemporalGraph& trace) const;
-  /// Same filter over a prebuilt contact index (same result as
-  /// degrading the TemporalGraph the index was built from).
-  TemporalGraph degraded(const TemporalCsr& trace) const;
 
   friend bool operator==(const FaultPlan&, const FaultPlan&) = default;
 

@@ -66,6 +66,51 @@ std::uint64_t now_ns() {
           .count());
 }
 
+/// The revived engine (graph `b`, observers attached after restore)
+/// against the uninterrupted reference (graph `a`): log, epoch, counts,
+/// materialized graph and liveness into out.graph_match; Core state
+/// against the reference and against its own from-scratch recompute
+/// into out.cores_match; MIS on alive vertices, checked the same way,
+/// into out.mis_match. Both crash harnesses' outcomes carry these three
+/// fields; each compares its own counters.
+template <class Outcome>
+void compare_revived(const DynamicGraph& a, const CoreObserver& ref_cores,
+                     const MisObserver& ref_mis, const DynamicGraph& b,
+                     const CoreObserver& cores, const MisObserver& mis,
+                     Outcome& out) {
+  out.graph_match = a.log() == b.log() && a.epoch() == b.epoch() &&
+                    a.vertex_count() == b.vertex_count() &&
+                    a.alive_count() == b.alive_count() &&
+                    a.edge_count() == b.edge_count() &&
+                    a.materialize() == b.materialize();
+  if (out.graph_match) {
+    for (VertexId v = 0; v < a.vertex_count(); ++v) {
+      if (a.alive(v) != b.alive(v)) {
+        out.graph_match = false;
+        break;
+      }
+    }
+  }
+
+  CoreObserver recomputed_cores = cores;
+  recomputed_cores.recompute(b);
+  out.cores_match = cores.cores() == ref_cores.cores() &&
+                    cores.cores() == recomputed_cores.cores() &&
+                    cores.nsf_members(b) == ref_cores.nsf_members(a);
+
+  out.mis_match = true;
+  MisObserver recomputed_mis = mis;
+  recomputed_mis.recompute(b);
+  for (VertexId v = 0; v < b.vertex_count(); ++v) {
+    if (!b.alive(v)) continue;
+    if (mis.in_mis(v) != ref_mis.in_mis(v) ||
+        mis.in_mis(v) != recomputed_mis.in_mis(v)) {
+      out.mis_match = false;
+      break;
+    }
+  }
+}
+
 }  // namespace
 
 RecoveryOutcome run_crash_recovery(std::size_t initial_vertices,
@@ -107,44 +152,11 @@ RecoveryOutcome run_crash_recovery(std::size_t initial_vertices,
     revived.apply(events[i]);
   }
 
-  const DynamicGraph& a = reference.graph();
-  const DynamicGraph& b = revived.graph();
-  out.graph_match = a.log() == b.log() && a.epoch() == b.epoch() &&
-                    a.vertex_count() == b.vertex_count() &&
-                    a.alive_count() == b.alive_count() &&
-                    a.edge_count() == b.edge_count() &&
-                    a.materialize() == b.materialize();
-  if (out.graph_match) {
-    for (VertexId v = 0; v < a.vertex_count(); ++v) {
-      if (a.alive(v) != b.alive(v)) {
-        out.graph_match = false;
-        break;
-      }
-    }
-  }
+  compare_revived(reference.graph(), ref_cores, ref_mis, revived.graph(),
+                  cores, mis, out);
   out.counters_match = reference.accepted() == revived.accepted() &&
                        reference.rejected() == revived.rejected() &&
                        reference.reject_counts() == revived.reject_counts();
-
-  // Observer equivalence against the uninterrupted run, plus the
-  // recompute cross-check (incremental state == from-scratch rebuild).
-  CoreObserver recomputed_cores = cores;
-  recomputed_cores.recompute(b);
-  out.cores_match = cores.cores() == ref_cores.cores() &&
-                    cores.cores() == recomputed_cores.cores() &&
-                    cores.nsf_members(b) == ref_cores.nsf_members(a);
-
-  out.mis_match = true;
-  MisObserver recomputed_mis = mis;
-  recomputed_mis.recompute(b);
-  for (VertexId v = 0; v < b.vertex_count(); ++v) {
-    if (!b.alive(v)) continue;
-    if (mis.in_mis(v) != ref_mis.in_mis(v) ||
-        mis.in_mis(v) != recomputed_mis.in_mis(v)) {
-      out.mis_match = false;
-      break;
-    }
-  }
   return out;
 }
 
@@ -367,43 +379,12 @@ WalCrashOutcome run_wal_crash_recovery(std::size_t initial_vertices,
   revived.attach(&cores);  // recompute-on-attach resynchronizes
   revived.attach(&mis);
 
-  const DynamicGraph& a = reference.graph();
-  const DynamicGraph& b = revived.graph();
-  out.graph_match = a.log() == b.log() && a.epoch() == b.epoch() &&
-                    a.vertex_count() == b.vertex_count() &&
-                    a.alive_count() == b.alive_count() &&
-                    a.edge_count() == b.edge_count() &&
-                    a.materialize() == b.materialize();
-  if (out.graph_match) {
-    for (VertexId v = 0; v < a.vertex_count(); ++v) {
-      if (a.alive(v) != b.alive(v)) {
-        out.graph_match = false;
-        break;
-      }
-    }
-  }
+  compare_revived(reference.graph(), ref_cores, ref_mis, revived.graph(),
+                  cores, mis, out);
   // Accepted totals only: rejections after the winning checkpoint are
   // not WAL-logged (accepted-events-only by design), so the revived
   // rejected counter is the checkpoint's, not the reference's zero.
   out.counters_match = reference.accepted() == revived.accepted();
-
-  CoreObserver recomputed_cores = cores;
-  recomputed_cores.recompute(b);
-  out.cores_match = cores.cores() == ref_cores.cores() &&
-                    cores.cores() == recomputed_cores.cores() &&
-                    cores.nsf_members(b) == ref_cores.nsf_members(a);
-
-  out.mis_match = true;
-  MisObserver recomputed_mis = mis;
-  recomputed_mis.recompute(b);
-  for (VertexId v = 0; v < b.vertex_count(); ++v) {
-    if (!b.alive(v)) continue;
-    if (mis.in_mis(v) != ref_mis.in_mis(v) ||
-        mis.in_mis(v) != recomputed_mis.in_mis(v)) {
-      out.mis_match = false;
-      break;
-    }
-  }
   return out;
 }
 

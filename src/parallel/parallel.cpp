@@ -85,8 +85,6 @@ ThreadPool::~ThreadPool() {
 
 bool ThreadPool::in_worker() { return tl_in_worker; }
 
-std::size_t ThreadPool::current_worker() { return tl_worker_index; }
-
 void ThreadPool::worker_loop(std::size_t worker) {
   std::uint64_t seen = 0;
   while (true) {

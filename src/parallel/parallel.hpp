@@ -50,8 +50,8 @@ void set_default_thread_count(std::size_t threads);
 std::size_t hardware_threads();
 
 /// A fixed-size pool of persistent workers executing sharded jobs. The
-/// submitting thread participates as worker 0; the pool owns
-/// thread_count() - 1 background threads. Jobs are serialized: one
+/// submitting thread participates as worker 0; a pool of `threads`
+/// slots owns threads - 1 background threads. Jobs are serialized: one
 /// run_shards at a time (concurrent submissions queue on a mutex).
 class ThreadPool {
  public:
@@ -60,11 +60,9 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t thread_count() const { return workers_.size() + 1; }
-
   /// Runs fn(shard, worker) for every shard in [0, shards), blocking
   /// until all shards finished. `worker` is the executing slot in
-  /// [0, thread_count()) — stable for worker-indexed accumulators. The
+  /// [0, threads) — stable for worker-indexed accumulators. The
   /// first exception thrown by a shard is rethrown here after the job
   /// drains. Calling from inside a pool worker runs inline (serial).
   void run_shards(std::size_t shards,
@@ -73,8 +71,6 @@ class ThreadPool {
   /// True when the calling thread is currently executing a shard of any
   /// ThreadPool (used to flatten nested parallelism).
   static bool in_worker();
-  /// Worker slot of the calling thread (0 when not in a pool).
-  static std::size_t current_worker();
 
   /// Process-lifetime pool with exactly `threads` slots (>= 2). Pools
   /// are cached per size so speedup curves can bench 2/4/8 threads

@@ -54,11 +54,6 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point from,
                        .count());
 }
 
-/// Delta/base size ratio past which the plan phase compacts the
-/// contact index (DeltaTemporalCsr::needs_compaction, whose absolute
-/// slack of 64 contacts keeps tiny bases from thrashing).
-constexpr double kCompactRatio = 0.25;
-
 /// Span names for the per-query kernel traces, indexed by QueryKind.
 /// Literal pointers: the trace layer borrows, never copies, names.
 constexpr const char* kKernelSpanName[kQueryKindCount] = {
@@ -272,10 +267,8 @@ QueryPayload QueryBroker::execute_payload(const Query& query,
           faults.loss_seed = q.loss_seed;
           faults.plan = q.plan;
           faults.retry = q.retry;
-          // The plan phase force-folded the delta for this batch, so the
-          // base is the full current index.
           return QueryPayload(simulate_routing_trials(
-              index_.base(), q.source, q.destination, q.t0,
+              index_, q.source, q.destination, q.t0,
               make_strategy(q.strategy), q.initial_copies, faults, q.trials,
               1));
         }
@@ -332,7 +325,7 @@ std::size_t QueryBroker::flush() {
   std::vector<char> exec_cacheable;
   std::unordered_map<std::string, std::size_t> first_of;  // fp -> exec index
   std::vector<std::pair<std::size_t, std::size_t>> aliases;  // batch, exec
-  bool need_csr = false, need_graph = false, need_full_csr = false;
+  bool need_csr = false, need_graph = false;
   {
     STRUCTNET_OBS_SPAN("serve.admission");
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -387,10 +380,6 @@ std::size_t QueryBroker::flush() {
       }
       need_csr = need_csr || query_is_temporal(p.query);
       need_graph = need_graph || !query_is_temporal(p.query);
-      // Routing simulation runs against the full base index, so a batch
-      // carrying one forces the planner to fold the delta overlay.
-      need_full_csr = need_full_csr ||
-                      std::holds_alternative<RoutingTrialsQuery>(p.query);
       exec.push_back(i);
       exec_fp.push_back(std::move(fp));
       exec_cacheable.push_back(cacheable ? 1 : 0);
@@ -405,11 +394,10 @@ std::size_t QueryBroker::flush() {
     if (need_csr) {
       // Delta-advance planning: on_event has been folding accepted
       // contact events all along, so the merged index already sits at
-      // this epoch. Only a fired compaction policy — or a routing query,
-      // which simulates against the full base — pays a rebuild.
+      // this epoch. Only the index's own compaction policy pays a
+      // rebuild.
       STRUCTNET_OBS_SPAN("serve.plan.delta_advance");
-      if (index_.needs_compaction(kCompactRatio) ||
-          (need_full_csr && !index_.delta_empty())) {
+      if (index_.needs_compaction()) {
         STRUCTNET_OBS_SPAN("temporal.delta_compact");
         index_.rebase(temporal_->view());
         metrics_.csr_builds.add();
@@ -419,11 +407,10 @@ std::size_t QueryBroker::flush() {
       }
     }
     if (need_graph) {
-      if (!graph_valid_ || graph_epoch_ != epoch) {
+      if (!graph_ || graph_epoch_ != epoch) {
         STRUCTNET_OBS_SPAN("serve.plan.graph_build");
         graph_.emplace(engine_.graph().materialize());
         graph_epoch_ = epoch;
-        graph_valid_ = true;
         metrics_.graph_builds.add();
       } else {
         metrics_.graph_reuses.add();
@@ -674,7 +661,7 @@ std::size_t QueryBroker::apply_events(std::span<const Event> events) {
       metrics_.rejected_read_only.add();
       return 0;
     }
-    health_.begin_probe(now);
+    health_.begin_probe();
     metrics_.update_probes.add();
   }
 
@@ -709,7 +696,7 @@ std::size_t QueryBroker::apply_events(std::span<const Event> events) {
 
   try {
     const std::size_t accepted = engine_.apply_batch(events);
-    health_.on_success(clock_now());
+    health_.on_success();
     return accepted;
   } catch (...) {
     // An exception out of the engine itself (WAL IO error, observer
@@ -730,14 +717,14 @@ bool QueryBroker::probe() {
   std::lock_guard<std::mutex> exec_lk(exec_mu_);
   const Clock::time_point now = clock_now();
   if (!health_.probe_due(now)) return false;
-  health_.begin_probe(now);
+  health_.begin_probe();
   metrics_.update_probes.add();
   if (config_.update_fault_fn != nullptr && config_.update_fault_fn()) {
     metrics_.update_faults.add();
     health_.on_failure(clock_now());
     return false;
   }
-  health_.on_success(clock_now());
+  health_.on_success();
   return true;
 }
 

@@ -283,7 +283,6 @@ class QueryBroker final : public StreamObserver {
   DeltaTemporalCsr index_;
   std::optional<Graph> graph_;            // shared same-epoch static graph
   std::uint64_t graph_epoch_ = 0;
-  bool graph_valid_ = false;
   std::vector<Scratch> scratch_;  // one per worker slot
 
   // -- metrics + cache. Counters/gauges/histograms are lock-free

@@ -29,8 +29,7 @@ HealthMonitor::HealthMonitor(obs::MetricsRegistry& registry)
   state_gauge_.set(static_cast<std::int64_t>(HealthState::kHealthy));
 }
 
-void HealthMonitor::transition(HealthState to, TimePoint now) {
-  (void)now;
+void HealthMonitor::transition(HealthState to) {
   if (state() == to) return;
   state_.store(to, std::memory_order_release);
   state_gauge_.set(static_cast<std::int64_t>(to));
@@ -38,9 +37,9 @@ void HealthMonitor::transition(HealthState to, TimePoint now) {
   to_state_[static_cast<std::size_t>(to)]->add();
 }
 
-void HealthMonitor::on_success(TimePoint now) {
+void HealthMonitor::on_success() {
   consecutive_failures_ = 0;
-  transition(HealthState::kHealthy, now);
+  transition(HealthState::kHealthy);
 }
 
 void HealthMonitor::on_failure(TimePoint now) {
@@ -49,9 +48,9 @@ void HealthMonitor::on_failure(TimePoint now) {
   if (consecutive_failures_ >= kCircuitThreshold ||
       state() == HealthState::kRecovering) {
     // At the threshold — or a failed probe — the circuit (re-)opens.
-    transition(HealthState::kReadOnly, now);
+    transition(HealthState::kReadOnly);
   } else {
-    transition(HealthState::kDegraded, now);
+    transition(HealthState::kDegraded);
   }
 }
 
@@ -60,9 +59,9 @@ bool HealthMonitor::probe_due(TimePoint now) const {
          now - last_failure_ >= kProbeBackoff;
 }
 
-void HealthMonitor::begin_probe(TimePoint now) {
+void HealthMonitor::begin_probe() {
   if (state() != HealthState::kReadOnly) return;
-  transition(HealthState::kRecovering, now);
+  transition(HealthState::kRecovering);
 }
 
 }  // namespace structnet

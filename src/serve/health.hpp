@@ -69,7 +69,7 @@ class HealthMonitor {
 
   /// An update (or probe) succeeded: any state returns to Healthy and
   /// the failure streak resets.
-  void on_success(TimePoint now);
+  void on_success();
   /// An update (or probe) failed: Healthy degrades, a streak at the
   /// circuit threshold trips ReadOnly, a failed probe re-opens the
   /// circuit. Each failure re-arms the probe backoff from `now`.
@@ -78,13 +78,13 @@ class HealthMonitor {
   bool probe_due(TimePoint now) const;
   /// ReadOnly -> Recovering: the caller is about to attempt the probe
   /// (and will report it via on_success / on_failure).
-  void begin_probe(TimePoint now);
+  void begin_probe();
 
   std::size_t consecutive_failures() const { return consecutive_failures_; }
   std::uint64_t transitions() const { return transitions_.value(); }
 
  private:
-  void transition(HealthState to, TimePoint now);
+  void transition(HealthState to);
 
   std::atomic<HealthState> state_{HealthState::kHealthy};
   std::size_t consecutive_failures_ = 0;

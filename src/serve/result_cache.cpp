@@ -73,13 +73,6 @@ void ResultCache::advance(std::uint64_t epoch) {
   epoch_ = epoch;
 }
 
-void ResultCache::clear() {
-  lru_.clear();
-  index_.clear();
-  bytes_ = 0;
-  publish_gauges();
-}
-
 void ResultCache::erase_entry(Lru::iterator it) {
   bytes_ -= it->bytes;
   index_.erase(it->fingerprint);

@@ -59,8 +59,6 @@ class ResultCache {
   /// every entry drops (none can be looked up again).
   void invalidate_before(std::uint64_t epoch);
 
-  void clear();
-
   std::size_t byte_budget() const { return budget_; }
 
   /// Recomputed resident footprint: payload_bytes() summed over every

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 #include <unordered_map>
 
 #include "fault/fault_plan.hpp"
 #include "parallel/parallel.hpp"
+#include "temporal/temporal_delta.hpp"
 #include "util/rng.hpp"
 
 namespace structnet {
@@ -36,6 +38,26 @@ std::uint64_t pair_slot(VertexId holder, VertexId other) {
   return (static_cast<std::uint64_t>(holder) << 32) | other;
 }
 
+/// Unit t's edges in ascending edge id: a merged index's unit gathered
+/// once through for_each_edge_at into `scratch` (reused across units),
+/// so the re-scan passes below walk a flat span on either index.
+template <class Index>
+std::span<const EdgeId> unit_edges(const Index& index, TimeUnit t,
+                                   std::vector<EdgeId>& scratch) {
+  scratch.clear();
+  index.for_each_edge_at(t, [&](EdgeId e) {
+    scratch.push_back(e);
+    return true;
+  });
+  return scratch;
+}
+
+/// A TemporalCsr's unit is already a contiguous span.
+std::span<const EdgeId> unit_edges(const TemporalCsr& index, TimeUnit t,
+                                   std::vector<EdgeId>&) {
+  return index.edges_at(t);
+}
+
 }  // namespace
 
 RoutingOutcome simulate_routing(const TemporalGraph& trace, VertexId source,
@@ -47,7 +69,8 @@ RoutingOutcome simulate_routing(const TemporalGraph& trace, VertexId source,
                           strategy, initial_copies, faults);
 }
 
-RoutingOutcome simulate_routing(const TemporalCsr& trace, VertexId source,
+template <class Index>
+RoutingOutcome simulate_routing(const Index& trace, VertexId source,
                                 VertexId destination, TimeUnit t0,
                                 const Strategy& strategy,
                                 std::size_t initial_copies,
@@ -76,11 +99,12 @@ RoutingOutcome simulate_routing(const TemporalCsr& trace, VertexId source,
   has[source] = true;
   budget[source] = initial_copies;
 
+  std::vector<EdgeId> unit_scratch;
   for (TimeUnit t = t0; t < trace.horizon(); ++t) {
     if (deadline != kNeverTime && t >= deadline) break;  // message expired
     // The per-unit edge span is in trace (edge id) order, matching the
     // bucketed-contact order the TemporalGraph walk used.
-    const auto unit = trace.edges_at(t);
+    const auto unit = unit_edges(trace, t, unit_scratch);
     // Instantaneous transmission: re-scan the unit's contacts until no
     // transfer fires (bounded: each pass moves/copies at least once).
     bool progressed = true;
@@ -213,9 +237,10 @@ RoutingTrialStats simulate_routing_trials(
                                  initial_copies, faults, trials, threads);
 }
 
+template <class Index>
 RoutingTrialStats simulate_routing_trials(
-    const TemporalCsr& csr, VertexId source, VertexId destination,
-    TimeUnit t0, const Strategy& strategy, std::size_t initial_copies,
+    const Index& trace, VertexId source, VertexId destination, TimeUnit t0,
+    const Strategy& strategy, std::size_t initial_copies,
     const SimulationFaults& faults, std::size_t trials,
     std::size_t threads) {
   RoutingTrialStats stats;
@@ -235,7 +260,7 @@ RoutingTrialStats simulate_routing_trials(
           f.plan = &trial_plan;
         }
         stats.outcomes[trial] = simulate_routing(
-            csr, source, destination, t0, strategy, initial_copies, f);
+            trace, source, destination, t0, strategy, initial_copies, f);
       },
       threads);
   double delay = 0.0, hops = 0.0, transmissions = 0.0;
@@ -257,6 +282,21 @@ RoutingTrialStats simulate_routing_trials(
   }
   return stats;
 }
+
+template RoutingOutcome simulate_routing(const TemporalCsr&, VertexId,
+                                         VertexId, TimeUnit, const Strategy&,
+                                         std::size_t,
+                                         const SimulationFaults&);
+template RoutingOutcome simulate_routing(const DeltaTemporalCsr&, VertexId,
+                                         VertexId, TimeUnit, const Strategy&,
+                                         std::size_t,
+                                         const SimulationFaults&);
+template RoutingTrialStats simulate_routing_trials(
+    const TemporalCsr&, VertexId, VertexId, TimeUnit, const Strategy&,
+    std::size_t, const SimulationFaults&, std::size_t, std::size_t);
+template RoutingTrialStats simulate_routing_trials(
+    const DeltaTemporalCsr&, VertexId, VertexId, TimeUnit, const Strategy&,
+    std::size_t, const SimulationFaults&, std::size_t, std::size_t);
 
 Strategy direct_strategy() {
   return [](VertexId, VertexId, TimeUnit, std::size_t) {

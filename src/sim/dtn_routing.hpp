@@ -105,11 +105,15 @@ RoutingOutcome simulate_routing(const TemporalGraph& trace, VertexId source,
                                 std::size_t initial_copies = 1,
                                 const SimulationFaults& faults = {});
 
-/// Same simulation over a prebuilt contact index. The CSR per-unit edge
-/// order equals the trace order of TemporalGraph::contacts(), so the
-/// contact processing sequence — and with it every loss-RNG draw — is
-/// identical to the TemporalGraph overload.
-RoutingOutcome simulate_routing(const TemporalCsr& trace, VertexId source,
+/// Same simulation over a prebuilt contact index: a TemporalCsr, or the
+/// base+delta DeltaTemporalCsr (temporal_delta.hpp) the serving layer
+/// folds churn into — the two instantiations dtn_routing.cpp provides.
+/// Both yield a unit's contacts in ascending edge id, the trace order of
+/// TemporalGraph::contacts(), so the contact processing sequence — and
+/// with it every loss-RNG draw and FaultPlan lookup — is identical to
+/// the TemporalGraph overload run on the graph the index mirrors.
+template <class Index>
+RoutingOutcome simulate_routing(const Index& trace, VertexId source,
                                 VertexId destination, TimeUnit t0,
                                 const Strategy& strategy,
                                 std::size_t initial_copies = 1,
@@ -141,15 +145,16 @@ RoutingTrialStats simulate_routing_trials(
     const SimulationFaults& faults, std::size_t trials,
     std::size_t threads = 0);
 
-/// Same trial sweep over a prebuilt contact index — what the serving
-/// layer uses to amortize one TemporalCsr build across every routing
-/// ensemble in a same-epoch batch (the TemporalGraph overload above
-/// builds the index once per call and delegates here). Identical
-/// results: the CSR per-unit edge order equals trace order, so every
-/// replica's contact sequence and loss-RNG draws are unchanged.
+/// Same trial sweep over a prebuilt contact index (TemporalCsr or
+/// DeltaTemporalCsr, as simulate_routing above) — what the serving layer
+/// runs on its live contact index, churn delta included (the
+/// TemporalGraph overload above builds a TemporalCsr once per call and
+/// delegates here). Identical results: every replica's contact sequence
+/// and loss-RNG draws are unchanged.
+template <class Index>
 RoutingTrialStats simulate_routing_trials(
-    const TemporalCsr& trace, VertexId source, VertexId destination,
-    TimeUnit t0, const Strategy& strategy, std::size_t initial_copies,
+    const Index& trace, VertexId source, VertexId destination, TimeUnit t0,
+    const Strategy& strategy, std::size_t initial_copies,
     const SimulationFaults& faults, std::size_t trials,
     std::size_t threads = 0);
 

@@ -70,7 +70,6 @@ class SyncNetwork {
   const Graph& graph() const { return graph_; }
   const State& state(VertexId v) const { return state_[v]; }
   State& state(VertexId v) { return state_[v]; }
-  std::span<const State> states() const { return state_; }
   std::size_t rounds() const { return rounds_; }
   std::size_t messages() const { return messages_; }
   /// True iff no message is currently in flight.

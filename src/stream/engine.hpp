@@ -36,7 +36,6 @@ class StreamEngine {
   /// via its recompute() path on attach.
   void attach(StreamObserver* observer);
   void detach(StreamObserver* observer);
-  std::size_t observer_count() const { return observers_.size(); }
 
   /// Applies one event; returns whether the graph accepted it.
   bool apply(const Event& event);

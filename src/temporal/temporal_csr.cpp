@@ -123,13 +123,6 @@ std::size_t TemporalCsr::first_contact_at(VertexId v, TimeUnit t) const {
       std::lower_bound(lo, hi, t) - contact_time_.begin());
 }
 
-std::size_t TemporalCsr::first_contact_after(VertexId v, TimeUnit t) const {
-  const auto lo = contact_time_.begin() + vertex_offsets_[v];
-  const auto hi = contact_time_.begin() + vertex_offsets_[v + 1];
-  return static_cast<std::size_t>(
-      std::upper_bound(lo, hi, t) - contact_time_.begin());
-}
-
 void TemporalWorkspace::bind(std::size_t n) {
   if (n_ == n) return;
   n_ = n;

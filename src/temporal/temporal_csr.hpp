@@ -129,8 +129,6 @@ class TemporalCsr {
 
   /// Index of v's first contact with time >= t (contacts_end(v) if none).
   std::size_t first_contact_at(VertexId v, TimeUnit t) const;
-  /// Index of v's first contact with time > t (contacts_end(v) if none).
-  std::size_t first_contact_after(VertexId v, TimeUnit t) const;
 
   // ---- distinct-edge adjacency (edges with at least one label only,
   //      ascending edge id within each vertex's range)

@@ -28,12 +28,15 @@
 // arrivals, via hops, departures and journeys at any thread count.
 //
 // Compaction. Reads cost O(log delta) extra per probe, so once the
-// delta outgrows a configurable fraction of the base the owner should
-// absorb it into a fresh base via rebase() (needs_compaction() is the
-// policy predicate). The QueryBroker owns the serving index: it folds
-// stream events in through fold_contact_event (stream/observers.hpp),
-// the same rules the temporal view applies, and compacts in its plan
-// phase (serve/broker.hpp).
+// delta outgrows kCompactRatio of the base (plus kCompactSlack) the
+// owner should absorb it into a fresh base via rebase();
+// needs_compaction() is that one policy. Every reader — the journey
+// kernels and the routing simulator (sim/dtn_routing.hpp) alike —
+// reads the merged view, so nothing else asks for a compaction. The
+// QueryBroker owns the serving index: it folds stream events in
+// through fold_contact_event (stream/observers.hpp), the same rules
+// the temporal view applies, and compacts in its plan phase
+// (serve/broker.hpp).
 //
 // Concurrency contract: mutations are exclusive; any number of
 // concurrent readers (kernel sweeps) may run between mutations.
@@ -81,20 +84,20 @@ class DeltaTemporalCsr {
   /// mutates, out-of-range arguments are ignored.
   void prefetch_contact(VertexId u, VertexId v, TimeUnit t) const;
 
-  /// The immutable base snapshot (callers needing a full TemporalCsr —
-  /// e.g. routing simulation — should compact first so this is current).
-  const TemporalCsr& base() const { return base_; }
-
   /// Live adds + tombstones held outside the base.
   std::size_t delta_size() const { return adds_ + tombs_; }
   bool delta_empty() const { return delta_size() == 0; }
 
-  /// Compaction policy: delta larger than ratio * base contact count
-  /// (with a small absolute slack so tiny bases don't thrash).
-  bool needs_compaction(double ratio, std::size_t slack = 64) const {
+  /// Compaction policy: the delta holds more than kCompactRatio x base
+  /// contacts, plus an absolute kCompactSlack so tiny bases don't
+  /// thrash.
+  static constexpr double kCompactRatio = 0.25;
+  static constexpr std::size_t kCompactSlack = 64;
+  bool needs_compaction() const {
     return delta_size() >
-           slack + static_cast<std::size_t>(
-                       ratio * static_cast<double>(base_.contact_count()));
+           kCompactSlack +
+               static_cast<std::size_t>(
+                   kCompactRatio * static_cast<double>(base_.contact_count()));
   }
 
   // ---- kernel iteration interface (same contract as TemporalCsr;

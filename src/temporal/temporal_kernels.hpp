@@ -21,10 +21,12 @@
 // Ascending-edge-id iteration is the load-bearing requirement: it is
 // what makes the same-unit closure fire in the legacy sequence and the
 // min-hop (label, edge id) tie-breaks resolve identically on every
-// index. Earliest arrival has a scalar and a lane-packed body; fastest
-// departure has only the lane-packed one (a single query is a one-lane
-// block); minimum hop is scalar. Included only by temporal_csr.cpp /
-// temporal_delta.cpp / multi_source.cpp.
+// index, and what keeps the routing simulator (sim/dtn_routing.cpp),
+// which walks units through for_each_edge_at too, replaying the same
+// contact sequence. Earliest arrival has a scalar and a lane-packed
+// body; fastest departure has only the lane-packed one (a single query
+// is a one-lane block); minimum hop is scalar. Included only by
+// temporal_csr.cpp / temporal_delta.cpp / multi_source.cpp.
 #pragma once
 
 #include <algorithm>

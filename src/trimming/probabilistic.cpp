@@ -2,7 +2,7 @@
 
 #include <cassert>
 
-#include "temporal/journeys.hpp"
+#include "temporal/temporal_csr.hpp"
 
 namespace structnet {
 
@@ -42,16 +42,20 @@ double trim_degradation(const ProbabilisticTemporalGraph& eg, VertexId w,
                         VertexId u, std::size_t samples, Rng& rng) {
   assert(samples > 0);
   std::size_t worse = 0, total = 0;
+  TemporalWorkspace before, after;
   for (std::size_t i = 0; i < samples; ++i) {
     const TemporalGraph realization = sample_realization(eg, rng);
-    const TemporalGraph trimmed = realization.without_edge(w, u);
-    for (VertexId s = 0; s < realization.vertex_count(); ++s) {
-      for (TimeUnit t0 = 0; t0 < realization.horizon(); ++t0) {
-        const auto before = earliest_arrival(realization, s, t0);
-        const auto after = earliest_arrival(trimmed, s, t0);
-        for (VertexId v = 0; v < realization.vertex_count(); ++v) {
+    // One index per realization and per trimmed copy; the CSR sweep's
+    // arrivals are the walker's completion times bit-for-bit.
+    const TemporalCsr full(realization);
+    const TemporalCsr trimmed(realization.without_edge(w, u));
+    for (VertexId s = 0; s < full.vertex_count(); ++s) {
+      for (TimeUnit t0 = 0; t0 < full.horizon(); ++t0) {
+        csr_earliest_arrival(full, s, t0, before);
+        csr_earliest_arrival(trimmed, s, t0, after);
+        for (VertexId v = 0; v < full.vertex_count(); ++v) {
           ++total;
-          worse += after.completion[v] > before.completion[v];
+          worse += after.arrival(v) > before.arrival(v);
         }
       }
     }

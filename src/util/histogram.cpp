@@ -15,11 +15,6 @@ std::uint64_t CountHistogram::count_of(std::uint64_t value) const {
   return it == counts_.end() ? 0 : it->second;
 }
 
-std::vector<std::pair<std::uint64_t, std::uint64_t>> CountHistogram::items()
-    const {
-  return {counts_.begin(), counts_.end()};
-}
-
 double CountHistogram::fraction(std::uint64_t value) const {
   if (total_ == 0) return 0.0;
   return static_cast<double>(count_of(value)) / static_cast<double>(total_);

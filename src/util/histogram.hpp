@@ -17,8 +17,6 @@ class CountHistogram {
 
   std::uint64_t total() const { return total_; }
   std::uint64_t count_of(std::uint64_t value) const;
-  /// Sorted (value, count) pairs.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> items() const;
   /// P(X = value) as a fraction of total; 0 when empty.
   double fraction(std::uint64_t value) const;
   /// Complementary CDF P(X >= value).

@@ -58,11 +58,6 @@ std::uint64_t Rng::geometric(double p) {
   return dist(engine_);
 }
 
-std::uint64_t Rng::poisson(double mean) {
-  std::poisson_distribution<std::uint64_t> dist(std::max(mean, 0.0));
-  return dist(engine_);
-}
-
 double Rng::pareto(double x_min, double alpha) {
   assert(x_min > 0.0 && alpha > 1.0);
   // Inverse-CDF sampling: F(x) = 1 - (x_min/x)^(alpha-1).

@@ -61,9 +61,6 @@ class Rng {
   /// Geometric draw: number of failures before first success, P(success)=p.
   std::uint64_t geometric(double p);
 
-  /// Poisson draw with the given mean.
-  std::uint64_t poisson(double mean);
-
   /// Pareto (power-law) draw with minimum x_min > 0 and exponent alpha > 1.
   /// Density ~ x^-alpha for x >= x_min.
   double pareto(double x_min, double alpha);

@@ -43,12 +43,6 @@ double mean_of(std::span<const double> values) {
   return s.mean();
 }
 
-double stddev_of(std::span<const double> values) {
-  RunningStats s;
-  for (double v : values) s.add(v);
-  return s.stddev();
-}
-
 double pearson(std::span<const double> xs, std::span<const double> ys) {
   if (xs.size() != ys.size() || xs.size() < 2) return 0.0;
   const double mx = mean_of(xs);

@@ -36,9 +36,6 @@ double quantile(std::span<const double> values, double q);
 /// Mean of a span (0 for empty).
 double mean_of(std::span<const double> values);
 
-/// Sample standard deviation of a span (0 for fewer than two values).
-double stddev_of(std::span<const double> values);
-
 /// Pearson correlation of two equally sized spans (0 if degenerate).
 double pearson(std::span<const double> xs, std::span<const double> ys);
 

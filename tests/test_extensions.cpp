@@ -8,6 +8,7 @@
 #include "mobility/edge_markovian.hpp"
 #include "sim/stale_views.hpp"
 #include "temporal/fig2_example.hpp"
+#include "temporal/journeys.hpp"
 #include "trimming/probabilistic.hpp"
 
 namespace structnet {
@@ -88,6 +89,49 @@ TEST(ProbabilisticTrimming, DegradationPositiveForBridge) {
   eg.add_contact(0, 1, 1, 1.0);  // the only link
   Rng rng(7);
   EXPECT_GT(trim_degradation(eg, 0, 1, 5, rng), 0.0);
+}
+
+TEST(ProbabilisticTrimming, DegradationEqualsWalkerFormulaExactly) {
+  // Random uncertain contacts; the library's CSR sweeps must give the
+  // exact fraction the bucket-walking earliest_arrival gives, over the
+  // same sampled realizations (same seed, same draw order).
+  constexpr std::size_t kN = 9;
+  constexpr TimeUnit kHorizon = 7;
+  constexpr std::size_t kSamples = 12;
+  Rng gen(41);
+  ProbabilisticTemporalGraph eg(kN, kHorizon);
+  for (int i = 0; i < 40; ++i) {
+    const auto u = static_cast<VertexId>(gen.index(kN));
+    const auto v = static_cast<VertexId>(gen.index(kN));
+    if (u == v) continue;
+    eg.add_contact(u, v, static_cast<TimeUnit>(gen.index(kHorizon)),
+                   0.2 + 0.8 * gen.uniform01());
+  }
+  eg.add_contact(2, 5, 3, 0.9);  // the link under test exists
+  const VertexId w = 2, u = 5;
+
+  Rng walker_rng(77);
+  std::size_t worse = 0, total = 0;
+  for (std::size_t i = 0; i < kSamples; ++i) {
+    const TemporalGraph realization = sample_realization(eg, walker_rng);
+    const TemporalGraph trimmed = realization.without_edge(w, u);
+    for (VertexId s = 0; s < kN; ++s) {
+      for (TimeUnit t0 = 0; t0 < kHorizon; ++t0) {
+        const auto before = earliest_arrival(realization, s, t0);
+        const auto after = earliest_arrival(trimmed, s, t0);
+        for (VertexId v = 0; v < kN; ++v) {
+          ++total;
+          worse += after.completion[v] > before.completion[v];
+        }
+      }
+    }
+  }
+  const double walker =
+      static_cast<double>(worse) / static_cast<double>(total);
+  ASSERT_GT(worse, 0u);  // the trim actually costs something here
+
+  Rng rng(77);
+  EXPECT_EQ(trim_degradation(eg, w, u, kSamples, rng), walker);
 }
 
 // --------------------------------------------------------- stale views

@@ -154,8 +154,7 @@ TEST(FaultPlanTest, DegradedTraceMatchesContactFilter) {
   EXPECT_LT(works, trace.contacts().size());  // the plan actually bites
   EXPECT_GT(works, 0u);
 
-  // The CSR path and a second evaluation both agree bit-for-bit.
-  EXPECT_EQ(degraded, plan.degraded(TemporalCsr(trace)));
+  // A second evaluation agrees bit-for-bit.
   EXPECT_EQ(degraded, plan.degraded(trace));
 
   // A no-fault plan degrades nothing.

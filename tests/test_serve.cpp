@@ -772,9 +772,9 @@ TEST(ServeRestoreTest, ReattachedViewAndBrokerMatchUninterruptedRun) {
 TEST(ResultCacheTest, ChurnKeepsByteAccountingExact) {
   // Deterministic churn across every mutation path — same-key
   // overwrites (shrinking and growing), budget evictions, epoch
-  // invalidations, clear — asserting after every operation that the
-  // published bytes/entries gauges equal a full recount of the live
-  // entries.
+  // advances with and without an eager invalidation — asserting after
+  // every operation that the published bytes/entries gauges equal a
+  // full recount of the live entries.
   Rng rng(99);
   obs::MetricsRegistry reg;
   ResultCache cache(/*byte_budget=*/600, reg);
@@ -811,8 +811,9 @@ TEST(ResultCacheTest, ChurnKeepsByteAccountingExact) {
       if (rng.uniform01() < 0.5) cache.invalidate_before(epoch);
       assert_exact("advance", step);
     } else {
-      cache.clear();
-      assert_exact("clear", step);
+      // The broker's own drop path: the engine advanced an epoch.
+      cache.invalidate_before(++epoch);
+      assert_exact("invalidate", step);
     }
   }
   // The churn reached every drop path.
@@ -1002,13 +1003,13 @@ TEST(HealthMonitorTest, StateMachineFollowsTheDiagram) {
   };
 
   EXPECT_EQ(hm.state(), HealthState::kHealthy);
-  hm.begin_probe(at(0));  // only legal from ReadOnly: no-op here
+  hm.begin_probe();  // only legal from ReadOnly: no-op here
   EXPECT_EQ(hm.state(), HealthState::kHealthy);
 
   hm.on_failure(at(0));
   EXPECT_EQ(hm.state(), HealthState::kDegraded);
   EXPECT_EQ(hm.consecutive_failures(), 1u);
-  hm.on_success(at(1));
+  hm.on_success();
   EXPECT_EQ(hm.state(), HealthState::kHealthy);
   EXPECT_EQ(hm.consecutive_failures(), 0u);
 
@@ -1026,7 +1027,7 @@ TEST(HealthMonitorTest, StateMachineFollowsTheDiagram) {
   EXPECT_TRUE(hm.probe_due(at(t + kBackoff)));
 
   t += kBackoff;
-  hm.begin_probe(at(t));
+  hm.begin_probe();
   EXPECT_EQ(hm.state(), HealthState::kRecovering);
   EXPECT_FALSE(hm.probe_due(at(t + 100 * kBackoff)));  // only while ReadOnly
 
@@ -1036,8 +1037,8 @@ TEST(HealthMonitorTest, StateMachineFollowsTheDiagram) {
   EXPECT_EQ(hm.state(), HealthState::kReadOnly);
   EXPECT_FALSE(hm.probe_due(at(t + kBackoff - 1)));  // re-armed from t
   EXPECT_TRUE(hm.probe_due(at(t + kBackoff)));
-  hm.begin_probe(at(t + kBackoff));
-  hm.on_success(at(t + kBackoff + 10));
+  hm.begin_probe();
+  hm.on_success();
   EXPECT_EQ(hm.state(), HealthState::kHealthy);
   EXPECT_EQ(hm.consecutive_failures(), 0u);
 
@@ -1540,19 +1541,28 @@ TEST(QueryBrokerTest, IndexCountersTrackFoldsAndCompactions) {
   EXPECT_EQ(counter(broker, "serve.csr_delta_appends"), 4u);
   EXPECT_EQ(counter(broker, "serve.csr_compactions"), 0u);
 
-  // Routing simulates against the full base, so its batch compacts.
+  // Routing reads the merged index like every temporal kind, so its
+  // batch compacts nothing. Every contact sits in the delta (the base
+  // was built empty at attach): 2 meets 1 at t=3, 1 meets 0 at t=4.
   RoutingTrialsQuery rt;
-  rt.source = 0;
-  rt.destination = 2;
-  ASSERT_EQ(run_one(broker, rt).status, QueryStatus::kOk);
-  EXPECT_EQ(counter(broker, "serve.csr_compactions"), 1u);
-  EXPECT_EQ(counter(broker, "serve.csr_builds"), 2u);
-  // A second, distinct routing query finds the delta already empty.
+  rt.source = 2;
+  rt.destination = 0;
+  const QueryResult r = run_one(broker, rt);
+  ASSERT_EQ(r.status, QueryStatus::kOk);
+  EXPECT_EQ(counter(broker, "serve.csr_compactions"), 0u);
+  EXPECT_EQ(counter(broker, "serve.csr_builds"), 1u);
+  EXPECT_EQ(counter(broker, "serve.csr_reuses"), 1u);
+  const RoutingTrialStats over_view = simulate_routing_trials(
+      view.view(), 2, 0, 0, epidemic_strategy(), 0, SimulationFaults{}, 1, 1);
+  EXPECT_EQ(over_view.delivered, 1u);
+  EXPECT_EQ(over_view.mean_delivery_time, 4.0);
+  EXPECT_TRUE(payload_equal(r.payload, QueryPayload(over_view)));
+  // A second, distinct routing query reuses the index too.
   rt.destination = 1;
   ASSERT_EQ(run_one(broker, rt).status, QueryStatus::kOk);
-  EXPECT_EQ(counter(broker, "serve.csr_compactions"), 1u);
-  EXPECT_EQ(counter(broker, "serve.csr_builds"), 2u);
-  EXPECT_EQ(counter(broker, "serve.csr_reuses"), 1u);
+  EXPECT_EQ(counter(broker, "serve.csr_compactions"), 0u);
+  EXPECT_EQ(counter(broker, "serve.csr_builds"), 1u);
+  EXPECT_EQ(counter(broker, "serve.csr_reuses"), 2u);
   EXPECT_EQ(counter(broker, "serve.csr_delta_appends"), 4u);
 }
 

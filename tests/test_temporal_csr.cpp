@@ -592,9 +592,9 @@ TEST(TemporalDeltaChurn, MixedEventsBitIdenticalToFreshRebuild) {
       EXPECT_EQ(delta.remove_label(u, v, t), removed) << "step " << step;
       accepted += removed;
     }
-    // Aggressive compaction policy so the suite crosses many
+    // Aggressive compaction cadence so the suite crosses many
     // compaction boundaries (delta drained back into the base).
-    if (delta.needs_compaction(0.02, 8)) {
+    if (step % 24 == 23) {
       delta.rebase(eg);
       ++compactions;
       EXPECT_TRUE(delta.delta_empty());
@@ -614,6 +614,30 @@ TEST(TemporalDeltaChurn, MixedEventsBitIdenticalToFreshRebuild) {
   EXPECT_GT(accepted, 400u);
   EXPECT_GT(compactions, 2u);
   expect_delta_layout_equal(eg, delta);
+}
+
+TEST(TemporalDeltaChurn, CompactionPolicyFiresOneChangePastItsBound) {
+  // 40 base contacts, so the policy tolerates exactly kCompactSlack +
+  // kCompactRatio x 40 delta changes; tombstones count like adds.
+  TemporalGraph eg(24, 16);
+  for (VertexId v = 1; v <= 20; ++v) {
+    eg.add_contact(0, v, 0);
+    eg.add_contact(0, v, 1);
+  }
+  DeltaTemporalCsr delta(eg);
+  const auto bound =
+      DeltaTemporalCsr::kCompactSlack +
+      static_cast<std::size_t>(DeltaTemporalCsr::kCompactRatio * 40.0);
+  for (VertexId v = 1; v <= 20; ++v) ASSERT_TRUE(delta.remove_label(0, v, 0));
+  for (TimeUnit t = 2; delta.delta_size() < bound; ++t) {
+    for (VertexId v = 1; v < 24 && delta.delta_size() < bound; ++v) {
+      ASSERT_TRUE(delta.add_contact(v, (v % 23) + 1, t));
+    }
+  }
+  ASSERT_EQ(delta.delta_size(), bound);
+  EXPECT_FALSE(delta.needs_compaction());
+  ASSERT_TRUE(delta.add_contact(1, 2, 15));
+  EXPECT_TRUE(delta.needs_compaction());
 }
 
 TEST(TemporalDeltaChurn, ResurrectionAndDuplicateSemantics) {

@@ -2,9 +2,10 @@
 // driving a DeltaTemporalCsr, as the QueryBroker drives its index: each
 // event the engine logs folds into the delta, which must stay
 // bit-identical to a fresh TemporalCsr rebuilt from the
-// TemporalViewObserver's graph, across compaction boundaries. The view
-// itself is checked against a test-local model of the contact rules, so
-// a wrong rule in the shared fold cannot hide behind the equivalence.
+// TemporalViewObserver's graph — kernels and routing simulation alike —
+// across compaction boundaries. The view itself is checked against a
+// test-local model of the contact rules, so a wrong rule in the shared
+// fold cannot hide behind the equivalence.
 // Churn is randomized: contact adds incl. out-of-horizon, relabels with
 // and without a live old label, node joins growing the vertex space,
 // leave/edge noise.
@@ -16,6 +17,8 @@
 #include <tuple>
 #include <vector>
 
+#include "fault/fault_plan.hpp"
+#include "sim/dtn_routing.hpp"
 #include "stream/engine.hpp"
 #include "stream/observers.hpp"
 #include "temporal/temporal_csr.hpp"
@@ -111,6 +114,48 @@ void expect_index_equals_view(const DeltaTemporalCsr& delta,
   }
 }
 
+// Routing over the merged index must replay the run over a fresh
+// rebuild: the same unit order, so the same loss draws, FaultPlan
+// lookups and retry state, for a few (source, destination, t0) triples
+// under no faults, legacy loss, and a plan with contact loss, a global
+// blackout and a bounded RetryPolicy.
+void expect_routing_equals_view(const DeltaTemporalCsr& delta,
+                                const TemporalGraph& view) {
+  const TemporalCsr fresh(view);
+  FaultPlan plan(5);
+  plan.set_contact_loss(0.3).add_blackout({kInvalidVertex, kInvalidVertex, 3,
+                                           5});
+  SimulationFaults lossy;
+  lossy.loss_probability = 0.3;
+  lossy.loss_seed = 11;
+  SimulationFaults planned;
+  planned.plan = &plan;
+  planned.retry.max_attempts = 3;
+  planned.retry.backoff_base = 1;
+  const std::tuple<VertexId, VertexId, TimeUnit> triples[] = {
+      {0, 7, 0}, {3, 12, 2}, {13, 1, 4}};
+  for (const auto& [s, d, t0] : triples) {
+    for (const SimulationFaults& faults :
+         {SimulationFaults{}, lossy, planned}) {
+      EXPECT_EQ(simulate_routing(delta, s, d, t0, epidemic_strategy(), 0,
+                                 faults),
+                simulate_routing(fresh, s, d, t0, epidemic_strategy(), 0,
+                                 faults))
+          << "epidemic s=" << s << " d=" << d << " t0=" << t0;
+      EXPECT_EQ(simulate_routing(delta, s, d, t0, spray_and_wait_strategy(),
+                                 4, faults),
+                simulate_routing(fresh, s, d, t0, spray_and_wait_strategy(),
+                                 4, faults))
+          << "spray s=" << s << " d=" << d << " t0=" << t0;
+    }
+    EXPECT_EQ(simulate_routing_trials(delta, s, d, t0, epidemic_strategy(), 0,
+                                      planned, 4, 1),
+              simulate_routing_trials(fresh, s, d, t0, epidemic_strategy(), 0,
+                                      planned, 4, 1))
+        << "trials s=" << s << " d=" << d << " t0=" << t0;
+  }
+}
+
 TEST(ContactFold, TracksEngineBitIdenticalToViewRebuild) {
   constexpr std::size_t kN = 14;
   constexpr TimeUnit kHorizon = 10;
@@ -162,18 +207,18 @@ TEST(ContactFold, TracksEngineBitIdenticalToViewRebuild) {
         break;
     }
     fold_new_events(engine, folded, delta, model);
-    // Let the ratio policy fire mid-stream so equivalence holds across
+    // Compact mid-stream on a fixed cadence so equivalence holds across
     // compaction boundaries too.
-    if (step % 50 == 49 && delta.needs_compaction(0.15)) {
-      delta.rebase(view.view());
-    }
+    if (step % 150 == 149) delta.rebase(view.view());
     if (step % 40 == 39) {
       expect_view_matches_model(view, model);
       expect_index_equals_view(delta, view.view());
+      expect_routing_equals_view(delta, view.view());
     }
   }
   expect_view_matches_model(view, model);
   expect_index_equals_view(delta, view.view());
+  expect_routing_equals_view(delta, view.view());
 
   // Compacting for a full base leaves an empty delta and an unchanged
   // merged view.
