@@ -4,8 +4,9 @@
 //   * multi_source_sweep — all-pairs-style earliest-arrival work,
 //     scalar one-sweep-per-source vs. 64 sources sharing one
 //     contact-stream pass (temporal/multi_source.hpp). Per-lane results
-//     are asserted bit-identical (arrivals AND via-from) before anything
-//     is timed — "results_match" in the JSON is that gate.
+//     are asserted bit-identical (arrivals AND via parents, read off the
+//     firing log) before anything is timed — "results_match" in the JSON
+//     is that gate.
 //   * fastest_batch — fastest-journey departure profiles
 //     (csr_fastest_departure_batch), one lane per query vs. 1, 8 and 64
 //     lanes sharing one per-unit union-find sweep, ns per query. Before
@@ -80,19 +81,25 @@ void sweep_speedup(Table& t, const char* instance, const TemporalCsr& csr,
   }
 
   // Equivalence gate before timing: every lane bit-identical to the
-  // scalar kernel, arrivals and via-from alike.
+  // scalar kernel, arrivals and via parents alike (each lane's parents
+  // rebuilt from the firing log).
   bool match = true;
   TemporalWorkspace scalar_ws;
   MultiSourceWorkspace ws;
+  std::vector<VertexId> parent(n);
   for (std::size_t b = 0; b < sample_blocks && match; ++b) {
     const std::span<const VertexId> block(sources.data() + b * kLanes, kLanes);
     csr_earliest_arrival_batch(csr, block, 0, ws, /*record_via=*/true);
     for (std::size_t l = 0; l < kLanes && match; ++l) {
+      std::fill(parent.begin(), parent.end(), kInvalidVertex);
+      for (const MultiSourceWorkspace::Fire& f : ws.fires()) {
+        if (((f.lanes >> l) & 1u) != 0) parent[f.vertex] = f.from;
+      }
       csr_earliest_arrival(csr, block[l], 0, scalar_ws);
       for (std::size_t v = 0; v < n && match; ++v) {
         const auto id = static_cast<VertexId>(v);
         match = ws.arrival(l, id) == scalar_ws.arrival(id) &&
-                ws.via_from(l, id) == scalar_ws.via(id).from;
+                parent[v] == scalar_ws.via(id).from;
       }
     }
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <ostream>
 #include <span>
 #include <unordered_map>
 
@@ -59,6 +60,33 @@ std::span<const EdgeId> unit_edges(const TemporalCsr& index, TimeUnit t,
 }
 
 }  // namespace
+
+std::ostream& operator<<(std::ostream& os, const RoutingOutcome& outcome) {
+  os << "{delivered=" << (outcome.delivered ? "true" : "false")
+     << ", delivery_time=";
+  if (outcome.delivery_time == kNeverTime) {
+    os << "never";
+  } else {
+    os << outcome.delivery_time;
+  }
+  return os << ", hops=" << outcome.hops << ", copies=" << outcome.copies
+            << ", transmissions=" << outcome.transmissions << "}";
+}
+
+std::ostream& operator<<(std::ostream& os, const RoutingTrialStats& stats) {
+  const auto precision = os.precision(17);
+  os << "{delivered=" << stats.delivered
+     << ", delivery_ratio=" << stats.delivery_ratio
+     << ", mean_delivery_time=" << stats.mean_delivery_time
+     << ", mean_hops=" << stats.mean_hops
+     << ", mean_transmissions=" << stats.mean_transmissions
+     << ", outcomes=[";
+  os.precision(precision);
+  for (std::size_t i = 0; i < stats.outcomes.size(); ++i) {
+    os << (i == 0 ? "" : ", ") << stats.outcomes[i];
+  }
+  return os << "]}";
+}
 
 RoutingOutcome simulate_routing(const TemporalGraph& trace, VertexId source,
                                 VertexId destination, TimeUnit t0,

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <functional>
+#include <iosfwd>
 #include <vector>
 
 #include "temporal/temporal_csr.hpp"
@@ -41,6 +42,11 @@ struct RoutingOutcome {
 
   friend bool operator==(const RoutingOutcome&, const RoutingOutcome&) = default;
 };
+
+/// Prints every field by name, e.g. "{delivered=true, delivery_time=4,
+/// hops=2, copies=3, transmissions=5}" (delivery_time kNeverTime prints
+/// as "never"); test assertions show outcomes through it.
+std::ostream& operator<<(std::ostream& os, const RoutingOutcome& outcome);
 
 /// Decision for a contact between a holder and a non-holder.
 enum class ForwardDecision {
@@ -131,6 +137,11 @@ struct RoutingTrialStats {
   friend bool operator==(const RoutingTrialStats&,
                          const RoutingTrialStats&) = default;
 };
+
+/// Prints every field by name, the means at full precision (17
+/// significant digits, so unequal doubles never print alike) and then
+/// each outcome in trial order.
+std::ostream& operator<<(std::ostream& os, const RoutingTrialStats& stats);
 
 /// Runs `trials` independent replicas of the lossy simulation. Trial i
 /// uses loss seed derive_seed(faults.loss_seed, i), so each replica's

@@ -156,7 +156,7 @@ bool is_time_connected(const TemporalGraph& eg, TimeUnit t,
   // already "no").
   std::vector<char> shard_ok(lane_block_count(n), 1);
   for_each_source_lane(
-      csr, t, /*record_via=*/false, threads,
+      csr, t, threads,
       [&](std::size_t block, std::size_t, std::size_t lane, VertexId,
           const MultiSourceWorkspace& w) {
         if (w.reached_count(lane) != n) {
@@ -190,7 +190,7 @@ std::vector<TimeUnit> flooding_times(const TemporalGraph& eg,
   // Per-source slot writes need no ordering; each value is the exact
   // scalar flooding_time(eg, s).
   for_each_source_lane(
-      csr, 0, /*record_via=*/false, threads,
+      csr, 0, threads,
       [&](std::size_t, std::size_t, std::size_t lane, VertexId s,
           const MultiSourceWorkspace& w) {
         if (w.reached_count(lane) != n) {
@@ -240,7 +240,7 @@ std::vector<std::vector<TimeUnit>> temporal_distance_matrix(
   const TemporalCsr csr(eg);
   // Row s is byte-identical to temporal_distances(eg, s, t_start); each
   // lane writes only its own row.
-  for_each_source_lane(csr, t_start, /*record_via=*/false, threads,
+  for_each_source_lane(csr, t_start, threads,
                        [&](std::size_t, std::size_t, std::size_t lane,
                            VertexId s, const MultiSourceWorkspace& w) {
                          rows[s] = w.completion(lane);

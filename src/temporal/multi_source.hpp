@@ -12,11 +12,21 @@
 // Earliest arrival: lane layout. Lane l of a batch is source
 // sources[l]. Per vertex the workspace keeps one 64-bit reached word
 // (bit l set = lane l has reached the vertex) plus a lanes-strided
-// arrival row (and, when requested, a strided via-from row for
-// journey-tree walks). A unit's closure fires word-wide: for an edge
-// (u, v) with words mu / mv, the lanes `mu & ~mv` fire u -> v and
-// `mv & ~mu` fire v -> u — per lane at most one direction can fire, so
-// one OR per endpoint replays up to 64 scalar firings.
+// arrival row. A unit's closure fires word-wide: for an edge (u, v)
+// with words mu / mv, the lanes `mu & ~mv` fire u -> v and `mv & ~mu`
+// fire v -> u — per lane at most one direction can fire, so one OR per
+// endpoint replays up to 64 scalar firings.
+//
+// Earliest arrival: the firing log. When asked (record_via), a sweep
+// also appends one (vertex, from, lanes) entry per word-wide fire, in
+// firing order; each lane's sources open the log with from =
+// kInvalidVertex. Each (vertex, lane) a sweep reaches is in exactly one
+// entry, whose `from` is the vertex's parent on that lane's via tree,
+// and a parent always fires before its child. So the log is every
+// lane's journey tree in one list, sized by the fires rather than by
+// n * lanes (at worst one 16-byte entry per reached (vertex, lane)),
+// and a reverse pass over it visits every subtree before its root —
+// what the betweenness fold (fold_relay_credits) needs.
 //
 // Earliest arrival: fixed-point identity. The batch kernel replays the
 // legacy scalar sequence (temporal_kernels.hpp) exactly, per lane:
@@ -29,7 +39,8 @@
 //     can never fire it;
 //   * arrivals are written only on a lane's FIRST fire at a vertex
 //     (bits enter the word exactly once), so every lane's arrival
-//     times and via hops are bit-identical to csr_earliest_arrival.
+//     times and via parents (read off the firing log) are
+//     bit-identical to csr_earliest_arrival.
 // The unit-activity probe generalizes the scalar one: a unit can fire
 // iff some still-pending vertex w has a contact at t with a neighbor
 // whose word carries a bit w lacks (`word(nbr) & ~word(w) != 0`).
@@ -58,13 +69,14 @@
 // the tests check every lane against.
 //
 // Works on both index types (TemporalCsr and DeltaTemporalCsr) through
-// the shared kernel iteration contract. All-sources callers (closeness,
-// betweenness, path length, flooding, the distance matrix) run through
-// one loop, for_each_source_lane below: blocks of kMaxLanes sources,
+// the shared kernel iteration contract. All-sources callers run through
+// one loop, for_each_source_block below: blocks of kMaxLanes sources,
 // one shard per block (a fixed block -> shard mapping, so results stay
-// bit-identical at any thread count). The QueryBroker lane-packs
-// batched TemporalDistances and FastestJourney queries into these
-// sweeps (serve/broker.cpp).
+// bit-identical at any thread count). Betweenness folds each block's
+// firing log; closeness, path length, flooding and the distance matrix
+// read arrivals lane by lane (for_each_source_lane). The QueryBroker
+// lane-packs batched TemporalDistances and FastestJourney queries into
+// these sweeps (serve/broker.cpp); serving never records the log.
 #pragma once
 
 #include <algorithm>
@@ -85,15 +97,25 @@ namespace structnet {
 class DeltaTemporalCsr;
 
 /// Reusable scratch for lane-packed sweeps: one reached word per vertex
-/// plus lanes-strided arrival / via-from rows, epoch-stamped so a new
-/// sweep invalidates everything without clearing (pooled per worker
-/// slot exactly like TemporalWorkspace). Fastest-departure sweeps reuse
-/// the arrival rows as departure rows and add a per-unit union-find,
-/// allocated only once such a sweep runs.
+/// plus lanes-strided arrival rows, epoch-stamped so a new sweep
+/// invalidates everything without clearing (pooled per worker slot
+/// exactly like TemporalWorkspace), and the firing log of record_via
+/// sweeps. Fastest-departure sweeps reuse the arrival rows as departure
+/// rows and add a per-unit union-find, allocated only once such a sweep
+/// runs; the betweenness fold reuses them as subtree counters.
 class MultiSourceWorkspace {
  public:
   /// Lanes per sweep: one bit of the per-vertex reached word each.
   static constexpr std::size_t kMaxLanes = 64;
+
+  /// One word-wide fire of a record_via sweep: the lanes in `lanes`
+  /// reached `vertex` over a contact with `from` (kInvalidVertex for a
+  /// lane's source).
+  struct Fire {
+    VertexId vertex = kInvalidVertex;
+    VertexId from = kInvalidVertex;
+    std::uint64_t lanes = 0;
+  };
 
   std::size_t lane_count() const { return lanes_; }
   std::size_t vertex_count() const { return n_; }
@@ -110,14 +132,11 @@ class MultiSourceWorkspace {
                ? arrival_[static_cast<std::size_t>(v) * lanes_ + lane]
                : kNeverTime;
   }
-  /// Predecessor of v on lane l's earliest-arrival tree (kInvalidVertex
-  /// for the source, unreached vertices, or sweeps without record_via)
-  /// — the `via(v).from` the betweenness chain walk needs.
-  VertexId via_from(std::size_t lane, VertexId v) const {
-    return record_via_ && reached(lane, v)
-               ? from_[static_cast<std::size_t>(v) * lanes_ + lane]
-               : kInvalidVertex;
-  }
+  /// The last sweep's firing log in firing order (empty unless it ran
+  /// with record_via). Lane l's parent of v — TemporalWorkspace's
+  /// via(v).from after the scalar sweep — is the `from` of the one entry
+  /// whose vertex is v and whose lanes include l.
+  std::span<const Fire> fires() const { return fires_; }
   /// Vertices lane l reached (including its source).
   std::size_t reached_count(std::size_t lane) const { return reached_[lane]; }
 
@@ -130,6 +149,35 @@ class MultiSourceWorkspace {
       out[v] = arrival(lane, static_cast<VertexId>(v));
     }
     return out;
+  }
+
+  /// Adds the last record_via sweep's betweenness credits into credit:
+  /// for every lane and every reached vertex v other than the lane's
+  /// source, the number of vertices below v on the lane's via tree —
+  /// the destinations whose canonical journey relays through v. One
+  /// reverse pass over the firing log: a parent fires before its child,
+  /// so each entry's subtree counts are complete when its turn comes,
+  /// and it adds them (plus itself) into its parent's. The counts live
+  /// in the arrival rows (sub-counts stay below n), so the fold consumes
+  /// the sweep: afterwards the workspace reads as an empty sweep.
+  /// Credits are whole numbers below 2^53, so every sum is exact in any
+  /// order.
+  void fold_relay_credits(std::span<double> credit) {
+    TimeUnit* const rows = arrival_.data();
+    std::fill_n(rows, n_ * lanes_, TimeUnit{0});
+    for (auto f = fires_.rbegin(); f != fires_.rend(); ++f) {
+      if (f->from == kInvalidVertex) continue;  // a source: never credited
+      const TimeUnit* sub = rows + static_cast<std::size_t>(f->vertex) * lanes_;
+      TimeUnit* up = rows + static_cast<std::size_t>(f->from) * lanes_;
+      std::uint64_t below = 0;
+      for (std::uint64_t bits = f->lanes; bits != 0; bits &= bits - 1) {
+        const auto l = static_cast<std::size_t>(std::countr_zero(bits));
+        below += sub[l];
+        up[l] += sub[l] + 1;
+      }
+      credit[f->vertex] += static_cast<double>(below);
+    }
+    begin_sweep();
   }
 
  private:
@@ -147,11 +195,11 @@ class MultiSourceWorkspace {
     // Strided rows grow to the high-water lane count and are never
     // cleared: reads are guarded by the epoch-stamped reached bits.
     if (arrival_.size() < n * lanes) arrival_.resize(n * lanes);
-    if (record_via && from_.size() < n * lanes) from_.resize(n * lanes);
   }
   void begin_sweep() {
     ++epoch_;
     reached_.fill(0);
+    fires_.clear();
   }
   std::uint64_t word(VertexId v) const {
     return stamp_[v] == epoch_ ? mask_[v] : 0;
@@ -184,8 +232,8 @@ class MultiSourceWorkspace {
     mask_[v] = 0;  // the earliest-arrival accessors then see nothing
   }
   /// ORs `bits` into v's reached word and stamps each newly set lane's
-  /// arrival (and via-from) — the word-wide set_arrival. Callers pass
-  /// only lanes not yet set (bits = other & ~word(v)), so every
+  /// arrival (and logs the fire) — the word-wide set_arrival. Callers
+  /// pass only lanes not yet set (bits = other & ~word(v)), so every
   /// (vertex, lane) arrival is written exactly once per sweep.
   void fire(VertexId v, std::uint64_t bits, VertexId from, TimeUnit t) {
     if (stamp_[v] != epoch_) {
@@ -193,14 +241,21 @@ class MultiSourceWorkspace {
       mask_[v] = 0;
     }
     mask_[v] |= bits;
+    if (record_via_) log_fire(v, from, bits);
     const std::size_t base = static_cast<std::size_t>(v) * lanes_;
     while (bits != 0) {
       const auto l = static_cast<std::size_t>(std::countr_zero(bits));
       bits &= bits - 1;
       arrival_[base + l] = t;
-      if (record_via_) from_[base + l] = from;
       ++reached_[l];
     }
+  }
+
+  /// Appends to the firing log. Kept out of line so the serving sweeps,
+  /// which never log, keep fire() as small as it was without the log.
+  [[gnu::noinline]] void log_fire(VertexId v, VertexId from,
+                                  std::uint64_t bits) {
+    fires_.push_back({v, from, bits});
   }
 
   std::size_t n_ = 0;
@@ -210,7 +265,7 @@ class MultiSourceWorkspace {
   std::vector<std::uint64_t> stamp_;  // mask_ valid markers
   std::vector<std::uint64_t> mask_;   // per-vertex reached word
   std::vector<TimeUnit> arrival_;     // n * lanes_, stride lanes_
-  std::vector<VertexId> from_;        // n * lanes_, only when record_via
+  std::vector<Fire> fires_;           // firing log, only when record_via
   std::array<std::size_t, kMaxLanes> reached_{};
   // pending_: contact-bearing vertices some lane has not reached;
   // live_edges_: per-unit re-scan list (merged word not yet full).
@@ -243,9 +298,9 @@ inline std::size_t lane_block_count(std::size_t n) {
 /// Earliest arrival from up to kMaxLanes sources in ONE pass over the
 /// contact stream, departing at or after t_start; lane l's results are
 /// bit-identical to csr_earliest_arrival(csr, sources[l], t_start, ...)
-/// (arrivals always; via-from chains when record_via is set). Duplicate
-/// sources are allowed (their lanes evolve identically). Requires
-/// 1 <= sources.size() <= kMaxLanes.
+/// (arrivals always; via parents, through fires(), when record_via is
+/// set). Duplicate sources are allowed (their lanes evolve
+/// identically). Requires 1 <= sources.size() <= kMaxLanes.
 void csr_earliest_arrival_batch(const TemporalCsr& csr,
                                 std::span<const VertexId> sources,
                                 TimeUnit t_start, MultiSourceWorkspace& ws,
@@ -259,13 +314,12 @@ void csr_earliest_arrival_batch(const DeltaTemporalCsr& csr,
 /// in kMaxLanes-wide blocks, one shard per block (grain 1: the block ->
 /// shard mapping depends on n alone), one csr_earliest_arrival_batch
 /// from t_start per block on the worker slot's pooled workspace. Then
-/// fn(block, worker, lane, source, ws) runs for each lane in ascending
-/// source order; `worker` indexes per-slot accumulators (it is below
-/// resolve_threads(threads)). Returning false from fn abandons the rest
-/// of the block.
+/// fn(block, worker, sources, ws) runs with the block's sources
+/// (ascending; lane l is sources[l]) and that workspace; `worker`
+/// indexes per-slot accumulators (it is below resolve_threads(threads)).
 template <class Index, class Fn>
-void for_each_source_lane(const Index& csr, TimeUnit t_start,
-                          bool record_via, std::size_t threads, Fn&& fn) {
+void for_each_source_block(const Index& csr, TimeUnit t_start,
+                           bool record_via, std::size_t threads, Fn&& fn) {
   constexpr std::size_t kLanes = MultiSourceWorkspace::kMaxLanes;
   const std::size_t n = csr.vertex_count();
   std::vector<MultiSourceWorkspace> ws(resolve_threads(threads));
@@ -279,10 +333,25 @@ void for_each_source_lane(const Index& csr, TimeUnit t_start,
         for (std::size_t l = 0; l < lanes; ++l) {
           srcs[l] = static_cast<VertexId>(s0 + l);
         }
-        csr_earliest_arrival_batch(csr, {srcs.data(), lanes}, t_start, w,
+        const std::span<const VertexId> block_sources(srcs.data(), lanes);
+        csr_earliest_arrival_batch(csr, block_sources, t_start, w,
                                    record_via);
-        for (std::size_t l = 0; l < lanes; ++l) {
-          if (!fn(block, worker, l, srcs[l], std::as_const(w))) return;
+        fn(block, worker, block_sources, w);
+      });
+}
+
+/// for_each_source_block without the firing log, read lane by lane:
+/// fn(block, worker, lane, source, ws) runs for each lane in ascending
+/// source order. Returning false from fn abandons the rest of the block.
+template <class Index, class Fn>
+void for_each_source_lane(const Index& csr, TimeUnit t_start,
+                          std::size_t threads, Fn&& fn) {
+  for_each_source_block(
+      csr, t_start, /*record_via=*/false, threads,
+      [&](std::size_t block, std::size_t worker,
+          std::span<const VertexId> sources, MultiSourceWorkspace& w) {
+        for (std::size_t l = 0; l < sources.size(); ++l) {
+          if (!fn(block, worker, l, sources[l], std::as_const(w))) return;
         }
       });
 }

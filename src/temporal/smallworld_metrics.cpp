@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "temporal/journeys.hpp"
 #include "temporal/multi_source.hpp"
@@ -13,36 +15,77 @@ namespace structnet {
 double temporal_correlation_coefficient(const TemporalGraph& eg) {
   if (eg.horizon() < 2 || eg.vertex_count() == 0) return 0.0;
   const std::size_t n = eg.vertex_count();
-  // Neighbor sets per snapshot.
-  std::vector<std::set<VertexId>> prev(n), cur(n);
-  auto fill = [&](TimeUnit t, std::vector<std::set<VertexId>>& out) {
-    for (auto& s : out) s.clear();
-    const Graph snap = eg.snapshot(t);
-    for (const Graph::Edge& e : snap.edges()) {
-      out[e.u].insert(e.v);
-      out[e.v].insert(e.u);
+  const TimeUnit horizon = eg.horizon();
+  // Edge ids bucketed by label once (a counting sort): unit t's edges
+  // are by_unit[unit_start[t] .. unit_start[t + 1]).
+  std::vector<std::size_t> unit_start(static_cast<std::size_t>(horizon) + 1,
+                                      0);
+  for (const auto& edge : eg.edges()) {
+    for (const TimeUnit t : edge.labels) ++unit_start[t + 1];
+  }
+  for (TimeUnit t = 0; t < horizon; ++t) unit_start[t + 1] += unit_start[t];
+  std::vector<EdgeId> by_unit(unit_start[horizon]);
+  {
+    std::vector<std::size_t> next(unit_start.begin(), unit_start.end() - 1);
+    for (EdgeId e = 0; e < eg.edge_count(); ++e) {
+      for (const TimeUnit t : eg.edge(e).labels) by_unit[next[t]++] = e;
+    }
+  }
+  // One unit's neighbour lists: v's are nbr[off[v] .. off[v + 1]). An
+  // edge record is one vertex pair, so no list holds a duplicate. Two
+  // units are kept at a time, the previous and the current.
+  struct Neighbors {
+    std::vector<std::size_t> off;
+    std::vector<VertexId> nbr;
+  };
+  std::vector<std::size_t> cursor;
+  const auto fill = [&](TimeUnit t, Neighbors& out) {
+    out.off.assign(n + 1, 0);
+    for (std::size_t i = unit_start[t]; i < unit_start[t + 1]; ++i) {
+      const auto& edge = eg.edge(by_unit[i]);
+      ++out.off[edge.u + 1];
+      ++out.off[edge.v + 1];
+    }
+    for (std::size_t v = 0; v < n; ++v) out.off[v + 1] += out.off[v];
+    out.nbr.resize(out.off[n]);
+    cursor.assign(out.off.begin(), out.off.end() - 1);
+    for (std::size_t i = unit_start[t]; i < unit_start[t + 1]; ++i) {
+      const auto& edge = eg.edge(by_unit[i]);
+      out.nbr[cursor[edge.u]++] = edge.v;
+      out.nbr[cursor[edge.v]++] = edge.u;
     }
   };
+  Neighbors prev, cur;
+  // mark[w] == stamp: w neighbours v in the previous unit. Every (t, v)
+  // sample takes a fresh stamp, so no mark outlives its sample.
+  std::vector<std::uint64_t> mark(n, 0);
+  std::uint64_t stamp = 0;
   fill(0, prev);
   double total = 0.0;
-  for (TimeUnit t = 1; t < eg.horizon(); ++t) {
+  for (TimeUnit t = 1; t < horizon; ++t) {
     fill(t, cur);
     for (std::size_t v = 0; v < n; ++v) {
-      const std::size_t a = prev[v].size();
-      const std::size_t b = cur[v].size();
+      const std::size_t a = prev.off[v + 1] - prev.off[v];
+      const std::size_t b = cur.off[v + 1] - cur.off[v];
       // Per [15] the overlap is averaged over ALL N(T-1) vertex/pair
       // samples; an empty neighborhood on either side means overlap 0
       // (the 0/0 case included), it does not shrink the denominator.
       if (a == 0 || b == 0) continue;
+      ++stamp;
+      for (std::size_t i = prev.off[v]; i < prev.off[v + 1]; ++i) {
+        mark[prev.nbr[i]] = stamp;
+      }
       std::size_t common = 0;
-      for (VertexId w : prev[v]) common += cur[v].count(w);
+      for (std::size_t i = cur.off[v]; i < cur.off[v + 1]; ++i) {
+        common += mark[cur.nbr[i]] == stamp;
+      }
       total += static_cast<double>(common) /
                std::sqrt(static_cast<double>(a) * static_cast<double>(b));
     }
-    prev.swap(cur);
+    std::swap(prev, cur);
   }
   const double samples =
-      static_cast<double>(n) * static_cast<double>(eg.horizon() - 1);
+      static_cast<double>(n) * static_cast<double>(horizon - 1);
   return total / samples;
 }
 
@@ -65,7 +108,7 @@ TemporalPathLength characteristic_temporal_path_length(const TemporalGraph& eg,
   const TemporalCsr csr(eg);
   std::vector<Partial> partial(lane_block_count(n));
   for_each_source_lane(
-      csr, 0, /*record_via=*/false, threads,
+      csr, 0, threads,
       [&](std::size_t block, std::size_t, std::size_t lane, VertexId s,
           const MultiSourceWorkspace& w) {
         Partial& p = partial[block];

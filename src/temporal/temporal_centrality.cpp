@@ -23,7 +23,7 @@ std::vector<double> closeness_over_index(const Index& csr,
   std::vector<double> closeness(n, 0.0);
   if (n < 2) return closeness;
   for_each_source_lane(
-      csr, 0, /*record_via=*/false, threads,
+      csr, 0, threads,
       [&](std::size_t, std::size_t, std::size_t lane, VertexId s,
           const MultiSourceWorkspace& w) {
         double sum = 0.0;
@@ -59,35 +59,21 @@ std::vector<double> temporal_betweenness(const TemporalGraph& eg,
   if (n == 0) return betweenness;
   // Sources credit arbitrary interior vertices, so each worker slot
   // accumulates privately and the slots are folded in order afterwards.
-  // Credits are +1.0 increments (exact in double), so the totals are
-  // identical no matter which worker counted them — which also makes
-  // the lane-block resharding below result-neutral.
+  // Credits are whole numbers (exact in double), so the totals are
+  // identical no matter which worker counted them or in which order.
   const std::size_t slots = resolve_threads(threads);
   std::vector<std::vector<double>> partial(
       slots, std::vector<double>(n, 0.0));
   // The lane-packed kernel reproduces the legacy via trees bit-for-bit
-  // per lane, so the canonical journeys (and hence the credits) are
-  // unchanged by the conversion.
+  // per lane, and a vertex relays the canonical journey s -> d exactly
+  // when d lies below it on s's tree. So one reverse fold of each
+  // block's firing log (subtree sizes) gives the credits the per-pair
+  // via-chain walks gave.
   const TemporalCsr csr(eg);
-  for_each_source_lane(
+  for_each_source_block(
       csr, 0, /*record_via=*/true, threads,
-      [&](std::size_t, std::size_t worker, std::size_t lane, VertexId s,
-          const MultiSourceWorkspace& w) {
-        std::vector<double>& acc = partial[worker];
-        for (std::size_t d = 0; d < n; ++d) {
-          const auto dst = static_cast<VertexId>(d);
-          if (dst == s || w.arrival(lane, dst) == kNeverTime) continue;
-          // Credit interior vertices of the canonical journey s -> d.
-          VertexId cur = dst;
-          while (true) {
-            const VertexId prev = w.via_from(lane, cur);
-            if (prev == kInvalidVertex || prev == s) break;
-            acc[prev] += 1.0;
-            cur = prev;
-          }
-        }
-        return true;
-      });
+      [&](std::size_t, std::size_t worker, std::span<const VertexId>,
+          MultiSourceWorkspace& w) { w.fold_relay_credits(partial[worker]); });
   for (const std::vector<double>& acc : partial) {
     for (std::size_t v = 0; v < n; ++v) betweenness[v] += acc[v];
   }

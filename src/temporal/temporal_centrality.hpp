@@ -31,12 +31,14 @@ std::vector<double> temporal_closeness(const DeltaTemporalCsr& csr,
                                        std::size_t threads = 0);
 
 /// Temporal betweenness: how often a vertex relays on the canonical
-/// earliest-arrival journey trees. For every source, the earliest-
-/// arrival tree (via-chains) is walked from every reachable destination;
-/// interior vertices are credited once per (source, destination) pair.
-/// This is the journey analogue of shortest-path betweenness restricted
-/// to one canonical journey per pair (exact Brandes-style counting over
-/// all optimal journeys is #P-hard in temporal graphs).
+/// earliest-arrival journey trees. Every interior vertex of the via
+/// chain from a source to each reachable destination is credited once
+/// per (source, destination) pair — computed per source as the size of
+/// the vertex's subtree on that source's tree, one reverse pass over
+/// the sweep's firing log (multi_source.hpp) rather than one chain walk
+/// per pair. This is the journey analogue of shortest-path betweenness
+/// restricted to one canonical journey per pair (exact Brandes-style
+/// counting over all optimal journeys is #P-hard in temporal graphs).
 std::vector<double> temporal_betweenness(const TemporalGraph& eg,
                                          std::size_t threads = 0);
 

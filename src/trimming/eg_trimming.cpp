@@ -10,51 +10,6 @@ namespace structnet {
 
 namespace {
 
-/// Earliest completion of a journey w -> v that departs at or after
-/// t_start, never touches `banned`, and relays only through vertices of
-/// priority strictly greater than priority[banned] (and inside
-/// `horizon_mask` when given — the k-hop information horizon). Returns
-/// kNeverTime when no such journey exists.
-TimeUnit constrained_completion(const TemporalGraph& eg, VertexId w,
-                                VertexId v, VertexId banned, TimeUnit t_start,
-                                std::span<const double> priority,
-                                const std::vector<bool>* horizon_mask =
-                                    nullptr) {
-  const double floor_priority = priority[banned];
-  std::vector<bool> have(eg.vertex_count(), false);
-  have[w] = true;
-  // Bucket edge ids by label once.
-  std::vector<std::vector<EdgeId>> bucket(eg.horizon());
-  for (EdgeId e = 0; e < eg.edge_count(); ++e) {
-    for (TimeUnit t : eg.edge(e).labels) bucket[t].push_back(e);
-  }
-  auto can_relay = [&](VertexId x) {
-    if (x == w) return true;
-    if (priority[x] <= floor_priority) return false;
-    return horizon_mask == nullptr || (*horizon_mask)[x];
-  };
-  for (TimeUnit t = t_start; t < eg.horizon(); ++t) {
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (EdgeId e : bucket[t]) {
-        const auto& edge = eg.edge(e);
-        if (edge.u == banned || edge.v == banned) continue;
-        auto relax = [&](VertexId from, VertexId to) {
-          if (have[from] && !have[to] && can_relay(from)) {
-            have[to] = true;
-            changed = true;
-            return to == v;
-          }
-          return false;
-        };
-        if (relax(edge.u, edge.v) || relax(edge.v, edge.u)) return t;
-      }
-    }
-  }
-  return kNeverTime;
-}
-
 /// Minimum-hop variant: direct contact or a single allowed intermediate.
 bool short_replacement_exists(const TemporalGraph& eg, VertexId w,
                               VertexId banned, VertexId v, TimeUnit i,
@@ -83,6 +38,165 @@ bool short_replacement_exists(const TemporalGraph& eg, VertexId w,
   return false;
 }
 
+/// A vertex some replacement journey must reach by the end of unit
+/// `deadline`.
+struct Target {
+  VertexId v = kInvalidVertex;
+  TimeUnit deadline = 0;
+};
+
+/// The replacement rules evaluated against one graph state. The graph's
+/// contacts are bucketed by unit once (a counting sort, ascending edge
+/// id within a unit); call rebucket() after the graph changes. A check
+/// runs one constrained closure per (w, banned, departure label) and
+/// reads every target off it: the closure never looks at its targets,
+/// so each target's completion is the unit at which the closure first
+/// reaches it — what a per-target run that stopped there returned.
+class ReplacementChecker {
+ public:
+  /// `horizon_mask`, when given, confines relays to the marked vertices
+  /// (the k-hop information horizon); it must outlive the checker.
+  ReplacementChecker(const TemporalGraph& eg, std::span<const double> priority,
+                     TrimVariant variant,
+                     const std::vector<bool>* horizon_mask = nullptr)
+      : eg_(eg),
+        priority_(priority),
+        variant_(variant),
+        horizon_mask_(horizon_mask),
+        have_(eg.vertex_count(), 0) {
+    rebucket();
+  }
+
+  void rebucket() {
+    // The minimum-hop variant never runs the closure.
+    if (variant_ == TrimVariant::kMinimumHopPreserving) return;
+    const TimeUnit horizon = eg_.horizon();
+    unit_start_.assign(static_cast<std::size_t>(horizon) + 1, 0);
+    for (const auto& edge : eg_.edges()) {
+      for (const TimeUnit t : edge.labels) ++unit_start_[t + 1];
+    }
+    for (TimeUnit t = 0; t < horizon; ++t) unit_start_[t + 1] += unit_start_[t];
+    contacts_.resize(unit_start_[horizon]);
+    std::vector<std::size_t> next(unit_start_.begin(), unit_start_.end() - 1);
+    for (const auto& edge : eg_.edges()) {
+      for (const TimeUnit t : edge.labels) {
+        contacts_[next[t]++] = {edge.u, edge.v};
+      }
+    }
+  }
+
+  /// True iff one journey closure from w, departing at or after t_start,
+  /// never touching `banned` and relaying only through vertices of
+  /// priority strictly greater than priority[banned] (and inside the
+  /// horizon mask), reaches every target by its deadline. Stops at the
+  /// first deadline that passes unreached; drops reached targets from
+  /// `targets` as it goes.
+  bool reaches_in_time(VertexId w, VertexId banned, TimeUnit t_start,
+                       std::vector<Target>& targets) {
+    const double floor_priority = priority_[banned];
+    const std::uint64_t mark = ++mark_;
+    have_[w] = mark;
+    const auto can_relay = [&](VertexId x) {
+      if (x == w) return true;
+      if (priority_[x] <= floor_priority) return false;
+      return horizon_mask_ == nullptr || (*horizon_mask_)[x];
+    };
+    for (TimeUnit t = t_start; t < eg_.horizon(); ++t) {
+      const std::size_t lo = unit_start_[t], hi = unit_start_[t + 1];
+      bool changed = true;
+      while (changed) {
+        changed = false;
+        for (std::size_t c = lo; c < hi; ++c) {
+          const auto [a, b] = contacts_[c];
+          if (a == banned || b == banned) continue;
+          const bool ha = have_[a] == mark, hb = have_[b] == mark;
+          if (ha && !hb && can_relay(a)) {
+            have_[b] = mark;
+            changed = true;
+          } else if (hb && !ha && can_relay(b)) {
+            have_[a] = mark;
+            changed = true;
+          }
+        }
+      }
+      std::size_t open = 0;
+      for (const Target& x : targets) {
+        if (have_[x.v] == mark) continue;
+        if (x.deadline <= t) return false;
+        targets[open++] = x;
+      }
+      targets.resize(open);
+      if (open == 0) return true;
+    }
+    return targets.empty();
+  }
+
+  /// Shared engine for the link and node rules: every 2-hop path
+  /// w -i-> u -j-> v has a replacement. Only the tightest j (smallest
+  /// label >= i) needs checking: a replacement with last label <= j_min
+  /// also serves every j > j_min.
+  bool all_paths_replaceable(VertexId w, VertexId u) {
+    const EdgeId wu = eg_.find_edge(w, u);
+    if (wu == kInvalidEdge) return true;
+    for (TimeUnit i : eg_.edge(wu).labels) {
+      targets_.clear();
+      for (EdgeId e : eg_.incident_edges(u)) {
+        const VertexId v = eg_.other_endpoint(e, u);
+        if (v == w) continue;
+        const auto& out_labels = eg_.edge(e).labels;
+        const auto it =
+            std::lower_bound(out_labels.begin(), out_labels.end(), i);
+        if (it != out_labels.end()) targets_.push_back({v, *it});
+      }
+      if (targets_.empty()) continue;
+      // The minimum-hop variant checks its direct and one-intermediate
+      // paths per target; otherwise one closure from (w, i) serves them
+      // all.
+      if (variant_ == TrimVariant::kMinimumHopPreserving) {
+        for (const Target& x : targets_) {
+          if (!short_replacement_exists(eg_, w, u, x.v, i, x.deadline,
+                                        priority_)) {
+            return false;
+          }
+        }
+      } else if (!reaches_in_time(w, u, i, targets_)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  bool can_trim_node(VertexId u) {
+    for (EdgeId e : eg_.incident_edges(u)) {
+      if (!all_paths_replaceable(eg_.other_endpoint(e, u), u)) return false;
+    }
+    return true;
+  }
+
+ private:
+  struct Endpoints {
+    VertexId u;
+    VertexId v;
+  };
+
+  const TemporalGraph& eg_;
+  std::span<const double> priority_;
+  TrimVariant variant_;
+  const std::vector<bool>* horizon_mask_;
+  std::vector<std::size_t> unit_start_;  // horizon + 1 offsets
+  std::vector<Endpoints> contacts_;      // by unit, edge id ascending
+  std::vector<std::uint64_t> have_;      // == this closure's mark: reached
+  std::uint64_t mark_ = 0;               // one per closure, never wraps
+  std::vector<Target> targets_;
+};
+
+/// True iff some edge at u carries a label.
+bool has_contacts(const TemporalGraph& eg, VertexId u) {
+  return std::any_of(
+      eg.incident_edges(u).begin(), eg.incident_edges(u).end(),
+      [&](EdgeId e) { return !eg.edge(e).labels.empty(); });
+}
+
 }  // namespace
 
 bool replacement_exists(const TemporalGraph& eg, VertexId w, VertexId banned,
@@ -93,48 +207,13 @@ bool replacement_exists(const TemporalGraph& eg, VertexId w, VertexId banned,
   if (variant == TrimVariant::kMinimumHopPreserving) {
     return short_replacement_exists(eg, w, banned, v, i, j, priority);
   }
-  const TimeUnit completion =
-      constrained_completion(eg, w, v, banned, i, priority);
-  return completion != kNeverTime && completion <= j;
+  // No journey departing at i arrives by an earlier j, and a journey
+  // back to w itself never counts (w is reached before any contact).
+  if (j < i || v == w) return false;
+  std::vector<Target> target{{v, j}};
+  return ReplacementChecker(eg, priority, variant)
+      .reaches_in_time(w, banned, i, target);
 }
-
-namespace {
-
-/// Shared engine for the link and node rules: checks every 2-hop path
-/// w -i-> u -j-> v for a fixed (w, u) against the replacement predicate.
-/// With a horizon mask, relays are confined to it (k-hop local rule).
-bool all_paths_replaceable(const TemporalGraph& eg, VertexId w, VertexId u,
-                           std::span<const double> priority,
-                           TrimVariant variant,
-                           const std::vector<bool>* horizon_mask = nullptr) {
-  const EdgeId wu = eg.find_edge(w, u);
-  if (wu == kInvalidEdge) return true;
-  const auto& in_labels = eg.edge(wu).labels;
-  for (EdgeId e : eg.incident_edges(u)) {
-    const VertexId v = eg.other_endpoint(e, u);
-    if (v == w) continue;
-    const auto& out_labels = eg.edge(e).labels;
-    for (TimeUnit i : in_labels) {
-      // Only the tightest j (smallest label >= i) must be checked: a
-      // replacement with last label <= j_min also serves every j > j_min.
-      const auto it =
-          std::lower_bound(out_labels.begin(), out_labels.end(), i);
-      if (it == out_labels.end()) continue;
-      if (variant == TrimVariant::kMinimumHopPreserving) {
-        if (!replacement_exists(eg, w, u, v, i, *it, priority, variant)) {
-          return false;
-        }
-        continue;
-      }
-      const TimeUnit completion = constrained_completion(
-          eg, w, v, u, i, priority, horizon_mask);
-      if (completion == kNeverTime || completion > *it) return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
 
 bool can_ignore_neighbor_khop(const TemporalGraph& eg, VertexId w, VertexId u,
                               std::span<const double> priority,
@@ -143,22 +222,19 @@ bool can_ignore_neighbor_khop(const TemporalGraph& eg, VertexId w, VertexId u,
   const auto nearby = k_hop_neighborhood(footprint, w, k);
   std::vector<bool> mask(eg.vertex_count(), false);
   for (VertexId x : nearby) mask[x] = true;
-  return all_paths_replaceable(eg, w, u, priority, variant, &mask);
+  return ReplacementChecker(eg, priority, variant, &mask)
+      .all_paths_replaceable(w, u);
 }
 
 bool can_ignore_neighbor(const TemporalGraph& eg, VertexId w, VertexId u,
                          std::span<const double> priority,
                          TrimVariant variant) {
-  return all_paths_replaceable(eg, w, u, priority, variant);
+  return ReplacementChecker(eg, priority, variant).all_paths_replaceable(w, u);
 }
 
 bool can_trim_node(const TemporalGraph& eg, VertexId u,
                    std::span<const double> priority, TrimVariant variant) {
-  for (EdgeId e : eg.incident_edges(u)) {
-    const VertexId w = eg.other_endpoint(e, u);
-    if (!all_paths_replaceable(eg, w, u, priority, variant)) return false;
-  }
-  return true;
+  return ReplacementChecker(eg, priority, variant).can_trim_node(u);
 }
 
 bool label_is_redundant(const TemporalGraph& eg, VertexId u, VertexId v,
@@ -187,10 +263,15 @@ TrimResult trim_nodes(const TemporalGraph& eg,
   std::sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
     return priority[a] < priority[b];
   });
+  ReplacementChecker check(result.trimmed, priority, variant);
   for (VertexId u : order) {
-    if (result.trimmed.incident_edges(u).empty()) continue;
-    if (can_trim_node(result.trimmed, u, priority, variant)) {
+    // A vertex with no contacts is never a candidate: it would pass the
+    // node rule vacuously, but only until the first removal's copy
+    // drops its label-less edge records.
+    if (!has_contacts(result.trimmed, u)) continue;
+    if (check.can_trim_node(u)) {
       result.trimmed = result.trimmed.without_vertex(u);
+      check.rebucket();
       result.removed_nodes.push_back(u);
     }
   }
@@ -212,12 +293,13 @@ TrimResult trim_links(const TemporalGraph& eg,
   // could before (their completion may degrade, but never connectivity;
   // this also rejects the degenerate pendant case where the rule holds
   // vacuously).
+  ReplacementChecker check(result.trimmed, priority, variant);
   for (const auto& edge : eg.edges()) {
     const VertexId w = edge.u;
     const VertexId u = edge.v;
     if (result.trimmed.find_edge(w, u) == kInvalidEdge) continue;
-    if (!can_ignore_neighbor(result.trimmed, w, u, priority, variant) ||
-        !can_ignore_neighbor(result.trimmed, u, w, priority, variant)) {
+    if (!check.all_paths_replaceable(w, u) ||
+        !check.all_paths_replaceable(u, w)) {
       continue;
     }
     const TemporalGraph candidate = result.trimmed.without_edge(w, u);
@@ -234,6 +316,7 @@ TrimResult trim_links(const TemporalGraph& eg,
     }
     if (!endpoints_ok) continue;
     result.trimmed = candidate;
+    check.rebucket();
     result.removed_links.emplace_back(w, u);
   }
   return result;

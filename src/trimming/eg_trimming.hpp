@@ -19,6 +19,14 @@
 // most one intermediate node, which also preserves minimum hop counts
 // (paper: "we can require that each replacement path have, at most, one
 // intermediate node").
+//
+// Evaluation: a replacement journey from w that avoids u and relays only
+// above p(u) does not depend on its target v. So the link and node rules
+// run one constrained closure per (w, u, first label i) and read every
+// target v's completion off it (the unit at which the closure first
+// reaches v), against v's deadline j; the per-unit contact buckets are
+// built once per graph state. The minimum-hop variant checks its direct
+// and one-intermediate paths per (v, i).
 #pragma once
 
 #include <span>
@@ -35,7 +43,8 @@ enum class TrimVariant {
 
 /// True iff a replacement journey w -> v exists that avoids `banned`,
 /// departs at label >= i, arrives (last label) <= j, and whose
-/// intermediate vertices all have priority > priority[banned].
+/// intermediate vertices all have priority > priority[banned]. A journey
+/// from w back to w never counts.
 bool replacement_exists(const TemporalGraph& eg, VertexId w, VertexId banned,
                         VertexId v, TimeUnit i, TimeUnit j,
                         std::span<const double> priority, TrimVariant variant);
@@ -54,14 +63,16 @@ bool can_ignore_neighbor_khop(const TemporalGraph& eg, VertexId w, VertexId u,
 
 /// Link rule: true iff w can ignore its neighbor u — every 2-hop path
 /// w -i-> u -j-> v (over all v in N(u) \ {w}, all label pairs i <= j) has
-/// a replacement.
+/// a replacement. Only the tightest j per (v, i) matters (the smallest
+/// label of (u, v) at or after i), and one closure per i serves every v.
 bool can_ignore_neighbor(const TemporalGraph& eg, VertexId w, VertexId u,
                          std::span<const double> priority,
                          TrimVariant variant =
                              TrimVariant::kCompletionTimePreserving);
 
 /// Node rule: true iff u can be trimmed — every 2-hop path through u from
-/// any neighbor w to any neighbor v has a replacement.
+/// any neighbor w to any neighbor v has a replacement (vacuously true
+/// for a vertex with no contacts).
 bool can_trim_node(const TemporalGraph& eg, VertexId u,
                    std::span<const double> priority,
                    TrimVariant variant =
@@ -81,7 +92,9 @@ struct TrimResult {
 
 /// Greedy node trimming: scans vertices in increasing priority order and
 /// removes each vertex that the node rule admits (re-evaluated against
-/// the current graph, so removals compound).
+/// the current graph, so removals compound). A vertex with no contacts
+/// — none, or only edge records whose labels were all removed — is never
+/// a candidate.
 TrimResult trim_nodes(const TemporalGraph& eg,
                       std::span<const double> priority,
                       TrimVariant variant =

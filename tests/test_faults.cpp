@@ -261,13 +261,26 @@ TEST(FaultRoutingTest, ScheduleFaultsSuppressWithoutRadioCost) {
   EXPECT_EQ(out.transmissions, 1u);
 }
 
-void expect_same_outcome(const RoutingOutcome& a, const RoutingOutcome& b,
-                         const std::string& what) {
-  EXPECT_EQ(a.delivered, b.delivered) << what;
-  EXPECT_EQ(a.delivery_time, b.delivery_time) << what;
-  EXPECT_EQ(a.hops, b.hops) << what;
-  EXPECT_EQ(a.copies, b.copies) << what;
-  EXPECT_EQ(a.transmissions, b.transmissions) << what;
+TEST(FaultRoutingTest, PrintersNameEveryField) {
+  // What a failed EXPECT_EQ on routing results shows: every field by
+  // name (no raw object bytes), the means at full precision.
+  const RoutingOutcome lost;
+  EXPECT_EQ(::testing::PrintToString(lost),
+            "{delivered=false, delivery_time=never, hops=0, copies=1, "
+            "transmissions=0}");
+  RoutingTrialStats stats;
+  stats.outcomes = {lost, RoutingOutcome{true, 4, 2, 3, 5}};
+  stats.delivered = 1;
+  stats.delivery_ratio = 0.5;
+  stats.mean_delivery_time = 4.0;
+  stats.mean_hops = 2.0;
+  stats.mean_transmissions = 0.1 + 0.2;
+  EXPECT_EQ(::testing::PrintToString(stats),
+            "{delivered=1, delivery_ratio=0.5, mean_delivery_time=4, "
+            "mean_hops=2, mean_transmissions=0.30000000000000004, "
+            "outcomes=[{delivered=false, delivery_time=never, hops=0, "
+            "copies=1, transmissions=0}, {delivered=true, delivery_time=4, "
+            "hops=2, copies=3, transmissions=5}]}");
 }
 
 TEST(FaultRoutingTest, EmptyPlanMatchesNoPlan) {
@@ -279,7 +292,7 @@ TEST(FaultRoutingTest, EmptyPlanMatchesNoPlan) {
       simulate_routing(trace, 0, 11, 0, epidemic_strategy(), 0, {});
   const RoutingOutcome b =
       simulate_routing(trace, 0, 11, 0, epidemic_strategy(), 0, with_plan);
-  expect_same_outcome(a, b, "empty plan");
+  EXPECT_EQ(a, b);
   EXPECT_TRUE(a.delivered);
 }
 
@@ -301,18 +314,11 @@ TEST(FaultRoutingTest, TrialsBitIdenticalAcrossThreadCounts) {
   EXPECT_GT(base.delivered, 0u);
   EXPECT_LT(base.delivered, trials);  // the plan actually bites
   for (const std::size_t threads : {2u, 8u}) {
-    const RoutingTrialStats other = simulate_routing_trials(
-        trace, 0, 23, 0, epidemic_strategy(), 0, faults, trials, threads);
-    ASSERT_EQ(other.outcomes.size(), base.outcomes.size());
-    for (std::size_t i = 0; i < trials; ++i) {
-      expect_same_outcome(base.outcomes[i], other.outcomes[i],
-                          "trial " + std::to_string(i) + " threads " +
-                              std::to_string(threads));
-    }
-    EXPECT_EQ(other.delivered, base.delivered);
-    EXPECT_EQ(other.delivery_ratio, base.delivery_ratio);
-    EXPECT_EQ(other.mean_delivery_time, base.mean_delivery_time);
-    EXPECT_EQ(other.mean_transmissions, base.mean_transmissions);
+    // Every outcome and every aggregate field, bit for bit.
+    EXPECT_EQ(simulate_routing_trials(trace, 0, 23, 0, epidemic_strategy(), 0,
+                                      faults, trials, threads),
+              base)
+        << "threads " << threads;
   }
 }
 

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "algo/shortest_paths.hpp"
 #include "algo/traversal.hpp"
@@ -154,6 +157,66 @@ TEST(TemporalSmallWorld, CorrelationAveragesOverAllVertexPairSamples) {
   // C = (1 + 1/sqrt(2) + 1 + 1) / (4 * 2) = (3 + 1/sqrt(2)) / 8.
   EXPECT_NEAR(temporal_correlation_coefficient(eg),
               (3.0 + 1.0 / std::sqrt(2.0)) / 8.0, 1e-12);
+}
+
+/// The [15] formula over std::set neighbourhoods of eg.snapshot(t),
+/// summed in the same (t, v) order as the library.
+double set_correlation(const TemporalGraph& eg) {
+  if (eg.horizon() < 2 || eg.vertex_count() == 0) return 0.0;
+  const std::size_t n = eg.vertex_count();
+  const auto neighborhoods = [&](TimeUnit t) {
+    std::vector<std::set<VertexId>> out(n);
+    const Graph snap = eg.snapshot(t);
+    for (const Graph::Edge& e : snap.edges()) {
+      out[e.u].insert(e.v);
+      out[e.v].insert(e.u);
+    }
+    return out;
+  };
+  std::vector<std::set<VertexId>> prev = neighborhoods(0);
+  double total = 0.0;
+  for (TimeUnit t = 1; t < eg.horizon(); ++t) {
+    std::vector<std::set<VertexId>> cur = neighborhoods(t);
+    for (std::size_t v = 0; v < n; ++v) {
+      const std::size_t a = prev[v].size(), b = cur[v].size();
+      if (a == 0 || b == 0) continue;
+      std::size_t common = 0;
+      for (VertexId w : prev[v]) common += cur[v].count(w);
+      total += static_cast<double>(common) /
+               std::sqrt(static_cast<double>(a) * static_cast<double>(b));
+    }
+    prev = std::move(cur);
+  }
+  return total /
+         (static_cast<double>(n) * static_cast<double>(eg.horizon() - 1));
+}
+
+TEST(TemporalSmallWorld, CorrelationMatchesNeighbourSetFormulaBitForBit) {
+  Rng rng(15);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t n = 2 + rng.index(40);
+    // Horizon 2 (a single consecutive pair) on every fourth trial.
+    const auto horizon =
+        static_cast<TimeUnit>(trial % 4 == 0 ? 2 : 2 + rng.index(14));
+    TemporalGraph eg(n, horizon);
+    const std::size_t contacts = rng.index(6 * n);
+    for (std::size_t c = 0; c < contacts; ++c) {
+      const auto u = static_cast<VertexId>(rng.index(n));
+      const auto v = static_cast<VertexId>(rng.index(n));
+      if (u == v) continue;
+      eg.add_contact(u, v, static_cast<TimeUnit>(rng.index(horizon)));
+    }
+    // Relabels leave label-less edge records behind, as in the view.
+    for (EdgeId e = 0; e < eg.edge_count(); ++e) {
+      const auto edge = eg.edge(e);
+      const double drop = rng.bernoulli(0.15) ? 1.0 : 0.2;
+      for (TimeUnit t : edge.labels) {
+        if (rng.bernoulli(drop)) eg.remove_label(edge.u, edge.v, t);
+      }
+    }
+    EXPECT_EQ(temporal_correlation_coefficient(eg), set_correlation(eg))
+        << "trial=" << trial << " n=" << n << " horizon=" << horizon;
+  }
 }
 
 TEST(TemporalSmallWorld, MemorylessGraphHasLowCorrelation) {

@@ -18,6 +18,7 @@
 #include <iterator>
 #include <optional>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -57,8 +58,35 @@ std::vector<TimeUnit> scalar_row(std::size_t n, const TemporalWorkspace& ws) {
   return row;
 }
 
+/// Lane `lane`'s via parents rebuilt from the sweep's firing log
+/// (kInvalidVertex for the source and unreached vertices). Also asserts
+/// the two facts the betweenness fold relies on: every reached vertex
+/// is in exactly one of the lane's entries, and its parent's entry comes
+/// first.
+std::vector<VertexId> lane_parents(const MultiSourceWorkspace& ws,
+                                   std::size_t lane) {
+  const std::span<const MultiSourceWorkspace::Fire> log = ws.fires();
+  std::vector<VertexId> parent(ws.vertex_count(), kInvalidVertex);
+  std::vector<std::size_t> entry(ws.vertex_count(), log.size());
+  std::size_t entries = 0;
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    const MultiSourceWorkspace::Fire& f = log[i];
+    if (((f.lanes >> lane) & 1u) == 0) continue;
+    EXPECT_EQ(entry[f.vertex], log.size())
+        << "lane=" << lane << " v=" << f.vertex << " logged twice";
+    EXPECT_TRUE(f.from == kInvalidVertex || entry[f.from] < i)
+        << "lane=" << lane << " v=" << f.vertex << " fired before its parent";
+    entry[f.vertex] = i;
+    parent[f.vertex] = f.from;
+    ++entries;
+  }
+  EXPECT_EQ(entries, ws.reached_count(lane)) << "lane=" << lane;
+  return parent;
+}
+
 /// Asserts each lane of one batch sweep reproduces the scalar kernel
-/// bit-for-bit (arrivals always; via-from when record_via).
+/// bit-for-bit (arrivals always; via parents, read off the firing log,
+/// when record_via — and an empty log otherwise).
 template <class Index>
 void expect_lanes_match_scalar(const Index& csr,
                                const std::vector<VertexId>& sources,
@@ -66,16 +94,21 @@ void expect_lanes_match_scalar(const Index& csr,
                                bool record_via) {
   csr_earliest_arrival_batch(
       csr, {sources.data(), sources.size()}, t_start, ws, record_via);
+  if (!record_via) {
+    ASSERT_TRUE(ws.fires().empty());
+  }
   TemporalWorkspace scalar;
   for (std::size_t l = 0; l < sources.size(); ++l) {
     csr_earliest_arrival(csr, sources[l], t_start, scalar);
+    const std::vector<VertexId> parent =
+        record_via ? lane_parents(ws, l) : std::vector<VertexId>{};
     std::size_t reached = 0;
     for (std::size_t v = 0; v < csr.vertex_count(); ++v) {
       const auto id = static_cast<VertexId>(v);
       ASSERT_EQ(ws.arrival(l, id), scalar.arrival(id))
           << "lane=" << l << " source=" << sources[l] << " v=" << v;
       if (record_via) {
-        ASSERT_EQ(ws.via_from(l, id), scalar.via(id).from)
+        ASSERT_EQ(parent[v], scalar.via(id).from)
             << "lane=" << l << " source=" << sources[l] << " v=" << v;
       }
       if (scalar.arrival(id) != kNeverTime) ++reached;
@@ -407,6 +440,79 @@ TEST(MultiSourceWorkspaceTest, FastestAndEarliestArrivalShareAWorkspace) {
   expect_lanes_match_scalar(csr, sources, 2, ws, /*record_via=*/true);
   expect_fastest_lanes_match_scalar(
       csr, eg, random_fastest_lanes(rng, 40, eg.horizon(), 7), ws);
+}
+
+/// The via-chain walk the betweenness fold replaced, over the scalar
+/// kernel: for each source in `sources`, one sweep from t_start, then
+/// per reached destination one walk up its via chain crediting every
+/// interior vertex once.
+std::vector<double> chain_walk_credits(const TemporalCsr& csr,
+                                       std::span<const VertexId> sources,
+                                       TimeUnit t_start) {
+  const std::size_t n = csr.vertex_count();
+  std::vector<double> credit(n, 0.0);
+  TemporalWorkspace ws;
+  for (const VertexId s : sources) {
+    csr_earliest_arrival(csr, s, t_start, ws);
+    for (std::size_t d = 0; d < n; ++d) {
+      const auto dst = static_cast<VertexId>(d);
+      if (dst == s || ws.arrival(dst) == kNeverTime) continue;
+      for (VertexId cur = ws.via(dst).from; cur != kInvalidVertex && cur != s;
+           cur = ws.via(cur).from) {
+        credit[cur] += 1.0;
+      }
+    }
+  }
+  return credit;
+}
+
+TEST(MultiSourceFold, RelayCreditsMatchChainWalksPerLane) {
+  Rng rng(71);
+  MultiSourceWorkspace ws;  // reused: a fold must leave nothing behind
+  for (int round = 0; round < 6; ++round) {
+    const std::size_t n = 20 + rng.index(70);
+    const TemporalGraph eg =
+        random_trace(rng, n, static_cast<TimeUnit>(4 + rng.index(10)),
+                     40 + rng.index(4 * n), rng.index(4));
+    const TemporalCsr csr(eg);
+    // Ragged lane counts with duplicate sources and late starts: each
+    // lane credits its own tree, duplicates included.
+    std::vector<VertexId> sources(
+        1 + rng.index(MultiSourceWorkspace::kMaxLanes));
+    for (VertexId& s : sources) s = static_cast<VertexId>(rng.index(n));
+    const auto t_start = static_cast<TimeUnit>(rng.index(3));
+    csr_earliest_arrival_batch(csr, sources, t_start, ws,
+                               /*record_via=*/true);
+    std::vector<double> credit(n, 0.0);
+    ws.fold_relay_credits(credit);
+    EXPECT_EQ(credit, chain_walk_credits(csr, sources, t_start))
+        << "round=" << round;
+    // The fold consumed the sweep: it reads as an empty one.
+    EXPECT_TRUE(ws.fires().empty());
+    for (std::size_t l = 0; l < sources.size(); ++l) {
+      EXPECT_EQ(ws.reached_count(l), 0u);
+      EXPECT_EQ(ws.arrival(l, sources[l]), kNeverTime);
+    }
+  }
+}
+
+TEST(MultiSourceCallers, BetweennessMatchesChainWalkAtAnyThreadCount) {
+  Rng rng(83);
+  // Lane-block edges (63/64/65, two blocks and a ragged third at 130)
+  // and degenerate sizes, each with a contact-free tail from n = 63 on.
+  for (const std::size_t n : {1, 2, 63, 64, 65, 130}) {
+    const std::size_t isolated = n > 2 ? 1 + n / 20 : 0;
+    const TemporalGraph eg = random_trace(rng, n, 12, 3 * n, isolated);
+    const TemporalCsr csr(eg);
+    std::vector<VertexId> all(n);
+    for (std::size_t v = 0; v < n; ++v) all[v] = static_cast<VertexId>(v);
+    const std::vector<double> expected = chain_walk_credits(csr, all, 0);
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      EXPECT_EQ(temporal_betweenness(eg, threads), expected)
+          << "n=" << n << " threads=" << threads;
+    }
+  }
 }
 
 TEST(MultiSourceCallers, AllPairsKernelsThreadCountInvariant) {

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "algo/components.hpp"
 #include "algo/mst.hpp"
+#include "algo/traversal.hpp"
 #include "core/generators.hpp"
 #include "mobility/contact_trace.hpp"
 #include "mobility/mobility_models.hpp"
@@ -98,6 +102,27 @@ TEST(EgTrimming, TrimNodesOnTriangleWithShadowNode) {
             result.removed_nodes.end());
   EXPECT_EQ(result.trimmed.find_edge(0, 3), kInvalidEdge);
   EXPECT_EQ(result.trimmed.find_edge(2, 3), kInvalidEdge);
+}
+
+TEST(EgTrimming, ContactlessVertexIsNeverATrimCandidate) {
+  // Vertex 0's only edge record lost its one label, so 0 passes the
+  // node rule vacuously. Whether it lands in removed_nodes must not
+  // depend on whether some other removal came first (the first
+  // removal's copy drops label-less records): it never does.
+  TemporalGraph eg(5, 4);
+  eg.add_contact(0, 1, 1);
+  ASSERT_TRUE(eg.remove_label(0, 1, 1));
+  eg.add_contact(1, 2, 0);
+  eg.add_contact(2, 3, 1);
+  eg.add_contact(1, 3, 0);
+  eg.add_contact(3, 4, 2);
+  eg.add_contact(1, 4, 3);
+  const std::vector<VertexId> expected{2, 1, 3};
+  // 0 first in priority order, then 0 after the first removal.
+  for (const std::vector<double>& prio : {std::vector<double>{0, 5, 1, 6, 7},
+                                          std::vector<double>{3, 5, 1, 6, 7}}) {
+    EXPECT_EQ(trim_nodes(eg, prio).removed_nodes, expected) << prio[0];
+  }
 }
 
 TEST(EgTrimming, TrimNodesPreservesReachabilityOnRandomTraces) {
@@ -223,6 +248,252 @@ TEST(EgTrimming, MinimumHopVariantIsStricter) {
                                  TrimVariant::kCompletionTimePreserving));
   EXPECT_FALSE(replacement_exists(eg, 0, 4, 3, 1, 5, prio,
                                   TrimVariant::kMinimumHopPreserving));
+}
+
+// ------------------------------ per-target reference (the old rules)
+
+/// The replacement closure as one run per (w, v, i): earliest completion
+/// of a journey w -> v departing at or after t_start that never touches
+/// `banned` and relays only through vertices above priority[banned]
+/// (and inside `mask` when given), stopping at v.
+TimeUnit reference_completion(const TemporalGraph& eg, VertexId w, VertexId v,
+                              VertexId banned, TimeUnit t_start,
+                              std::span<const double> priority,
+                              const std::vector<bool>* mask) {
+  std::vector<bool> have(eg.vertex_count(), false);
+  have[w] = true;
+  std::vector<std::vector<EdgeId>> bucket(eg.horizon());
+  for (EdgeId e = 0; e < eg.edge_count(); ++e) {
+    for (TimeUnit t : eg.edge(e).labels) bucket[t].push_back(e);
+  }
+  const auto can_relay = [&](VertexId x) {
+    if (x == w) return true;
+    if (priority[x] <= priority[banned]) return false;
+    return mask == nullptr || (*mask)[x];
+  };
+  for (TimeUnit t = t_start; t < eg.horizon(); ++t) {
+    bool changed = true;
+    while (changed) {
+      changed = false;
+      for (EdgeId e : bucket[t]) {
+        const auto& edge = eg.edge(e);
+        if (edge.u == banned || edge.v == banned) continue;
+        const auto relax = [&](VertexId from, VertexId to) {
+          if (have[from] && !have[to] && can_relay(from)) {
+            have[to] = true;
+            changed = true;
+            return to == v;
+          }
+          return false;
+        };
+        if (relax(edge.u, edge.v) || relax(edge.v, edge.u)) return t;
+      }
+    }
+  }
+  return kNeverTime;
+}
+
+/// The link/node rules' engine with one closure per (v, i).
+bool reference_replaceable(const TemporalGraph& eg, VertexId w, VertexId u,
+                           std::span<const double> priority,
+                           TrimVariant variant,
+                           const std::vector<bool>* mask = nullptr) {
+  const EdgeId wu = eg.find_edge(w, u);
+  if (wu == kInvalidEdge) return true;
+  for (EdgeId e : eg.incident_edges(u)) {
+    const VertexId v = eg.other_endpoint(e, u);
+    if (v == w) continue;
+    const auto& out_labels = eg.edge(e).labels;
+    for (TimeUnit i : eg.edge(wu).labels) {
+      const auto it = std::lower_bound(out_labels.begin(), out_labels.end(), i);
+      if (it == out_labels.end()) continue;
+      if (variant == TrimVariant::kMinimumHopPreserving) {
+        if (!replacement_exists(eg, w, u, v, i, *it, priority, variant)) {
+          return false;
+        }
+        continue;
+      }
+      const TimeUnit c = reference_completion(eg, w, v, u, i, priority, mask);
+      if (c == kNeverTime || c > *it) return false;
+    }
+  }
+  return true;
+}
+
+bool reference_khop(const TemporalGraph& eg, VertexId w, VertexId u,
+                    std::span<const double> priority, std::uint32_t k,
+                    TrimVariant variant) {
+  std::vector<bool> mask(eg.vertex_count(), false);
+  for (VertexId x : k_hop_neighborhood(eg.footprint(), w, k)) mask[x] = true;
+  return reference_replaceable(eg, w, u, priority, variant, &mask);
+}
+
+bool reference_can_trim_node(const TemporalGraph& eg, VertexId u,
+                             std::span<const double> priority,
+                             TrimVariant variant) {
+  for (EdgeId e : eg.incident_edges(u)) {
+    if (!reference_replaceable(eg, eg.other_endpoint(e, u), u, priority,
+                               variant)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// trim_nodes' greedy loop over the reference rule (contact-less
+/// vertices are never candidates).
+TrimResult reference_trim_nodes(const TemporalGraph& eg,
+                                std::span<const double> priority,
+                                TrimVariant variant) {
+  TrimResult result;
+  result.trimmed = eg;
+  std::vector<VertexId> order(eg.vertex_count());
+  for (VertexId v = 0; v < eg.vertex_count(); ++v) order[v] = v;
+  std::sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
+    return priority[a] < priority[b];
+  });
+  for (VertexId u : order) {
+    const auto inc = result.trimmed.incident_edges(u);
+    if (std::none_of(inc.begin(), inc.end(), [&](EdgeId e) {
+          return !result.trimmed.edge(e).labels.empty();
+        })) {
+      continue;
+    }
+    if (reference_can_trim_node(result.trimmed, u, priority, variant)) {
+      result.trimmed = result.trimmed.without_vertex(u);
+      result.removed_nodes.push_back(u);
+    }
+  }
+  return result;
+}
+
+/// trim_links' greedy loop (endpoint guard included) over the reference
+/// rule.
+TrimResult reference_trim_links(const TemporalGraph& eg,
+                                std::span<const double> priority,
+                                TrimVariant variant) {
+  TrimResult result;
+  result.trimmed = eg;
+  for (const auto& edge : eg.edges()) {
+    const VertexId w = edge.u, u = edge.v;
+    if (result.trimmed.find_edge(w, u) == kInvalidEdge) continue;
+    if (!reference_replaceable(result.trimmed, w, u, priority, variant) ||
+        !reference_replaceable(result.trimmed, u, w, priority, variant)) {
+      continue;
+    }
+    const TemporalGraph candidate = result.trimmed.without_edge(w, u);
+    bool ok = true;
+    for (TimeUnit t = 0; t < eg.horizon() && ok; ++t) {
+      ok = !(is_connected_at(result.trimmed, w, u, t) &&
+             !is_connected_at(candidate, w, u, t)) &&
+           !(is_connected_at(result.trimmed, u, w, t) &&
+             !is_connected_at(candidate, u, w, t));
+    }
+    if (!ok) continue;
+    result.trimmed = candidate;
+    result.removed_links.emplace_back(w, u);
+  }
+  return result;
+}
+
+/// Random trace with distinct random priorities; some edge records lose
+/// every label (relabels leave them behind, as the streaming view does).
+struct RandomInstance {
+  TemporalGraph eg;
+  std::vector<double> priority;
+};
+
+RandomInstance random_instance(Rng& rng) {
+  const std::size_t n = 8 + rng.index(14);
+  const auto horizon = static_cast<TimeUnit>(3 + rng.index(10));
+  RandomInstance out{TemporalGraph(n, horizon), std::vector<double>(n)};
+  const std::size_t contacts = n + rng.index(4 * n);
+  for (std::size_t c = 0; c < contacts; ++c) {
+    const auto u = static_cast<VertexId>(rng.index(n));
+    const auto v = static_cast<VertexId>(rng.index(n));
+    if (u == v) continue;
+    out.eg.add_contact(u, v, static_cast<TimeUnit>(rng.index(horizon)));
+  }
+  for (EdgeId e = 0; e < out.eg.edge_count(); ++e) {
+    if (!rng.bernoulli(0.1)) continue;
+    const auto edge = out.eg.edge(e);
+    for (TimeUnit t : edge.labels) out.eg.remove_label(edge.u, edge.v, t);
+  }
+  for (std::size_t v = 0; v < n; ++v) out.priority[v] = static_cast<double>(v);
+  for (std::size_t v = n; v > 1; --v) {
+    std::swap(out.priority[v - 1], out.priority[rng.index(v)]);
+  }
+  return out;
+}
+
+TEST(EgTrimmingReference, RulesMatchPerTargetClosures) {
+  Rng rng(2024);
+  // Outcome tallies: the instances must exercise both answers.
+  std::size_t ignorable = 0, kept = 0, nodes_removed = 0, links_removed = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const RandomInstance inst = random_instance(rng);
+    const TemporalGraph& eg = inst.eg;
+    const std::span<const double> prio = inst.priority;
+    for (const TrimVariant variant : {TrimVariant::kCompletionTimePreserving,
+                                      TrimVariant::kMinimumHopPreserving}) {
+      for (const auto& edge : eg.edges()) {
+        for (const auto& [w, u] : {std::pair{edge.u, edge.v},
+                                   std::pair{edge.v, edge.u}}) {
+          const bool ignore = can_ignore_neighbor(eg, w, u, prio, variant);
+          ASSERT_EQ(ignore, reference_replaceable(eg, w, u, prio, variant))
+              << "trial=" << trial << " w=" << w << " u=" << u;
+          ++(ignore ? ignorable : kept);
+          for (const std::uint32_t k : {1u, 2u}) {
+            ASSERT_EQ(can_ignore_neighbor_khop(eg, w, u, prio, k, variant),
+                      reference_khop(eg, w, u, prio, k, variant))
+                << "trial=" << trial << " w=" << w << " u=" << u << " k=" << k;
+          }
+        }
+      }
+      for (VertexId u = 0; u < eg.vertex_count(); ++u) {
+        ASSERT_EQ(can_trim_node(eg, u, prio, variant),
+                  reference_can_trim_node(eg, u, prio, variant))
+            << "trial=" << trial << " u=" << u;
+      }
+      const TrimResult nodes = trim_nodes(eg, prio, variant);
+      const TrimResult ref_nodes = reference_trim_nodes(eg, prio, variant);
+      EXPECT_EQ(nodes.removed_nodes, ref_nodes.removed_nodes) << trial;
+      EXPECT_EQ(nodes.trimmed, ref_nodes.trimmed) << trial;
+      const TrimResult links = trim_links(eg, prio, variant);
+      const TrimResult ref_links = reference_trim_links(eg, prio, variant);
+      EXPECT_EQ(links.removed_links, ref_links.removed_links) << trial;
+      EXPECT_EQ(links.trimmed, ref_links.trimmed) << trial;
+      nodes_removed += nodes.removed_nodes.size();
+      links_removed += links.removed_links.size();
+    }
+  }
+  EXPECT_GT(ignorable, 0u);
+  EXPECT_GT(kept, 0u);
+  EXPECT_GT(nodes_removed, 0u);
+  EXPECT_GT(links_removed, 0u);
+}
+
+TEST(EgTrimmingReference, ReplacementExistsMatchesPerTargetClosure) {
+  Rng rng(2025);
+  for (int trial = 0; trial < 40; ++trial) {
+    const RandomInstance inst = random_instance(rng);
+    const TemporalGraph& eg = inst.eg;
+    const auto n = eg.vertex_count();
+    for (int q = 0; q < 40; ++q) {
+      const auto w = static_cast<VertexId>(rng.index(n));
+      const auto banned = static_cast<VertexId>(rng.index(n));
+      const auto v = static_cast<VertexId>(rng.index(n));
+      const auto i = static_cast<TimeUnit>(rng.index(eg.horizon() + 1));
+      const auto j = static_cast<TimeUnit>(rng.index(eg.horizon() + 1));
+      const TimeUnit c =
+          reference_completion(eg, w, v, banned, i, inst.priority, nullptr);
+      EXPECT_EQ(replacement_exists(eg, w, banned, v, i, j, inst.priority,
+                                   TrimVariant::kCompletionTimePreserving),
+                c != kNeverTime && c <= j)
+          << "trial=" << trial << " w=" << w << " banned=" << banned
+          << " v=" << v << " i=" << i << " j=" << j;
+    }
+  }
 }
 
 // ------------------------------------------------- topology control
