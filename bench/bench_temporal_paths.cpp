@@ -361,7 +361,7 @@ void churn_index_maintenance_table() {
     const TemporalCsr fresh(eg);
     const auto r1 = now();
     rebuild_round_ns.push_back(ns_between(r0, r1));
-    if (compact) delta.rebase(eg);  // does not fire at 1% churn
+    if (compact) delta.compact();  // does not fire at 1% churn
 
     // Kernel bit-identity over the merged view (fastest: a one-lane
     // batch).

@@ -395,11 +395,10 @@ std::size_t QueryBroker::flush() {
       // Delta-advance planning: on_event has been folding accepted
       // contact events all along, so the merged index already sits at
       // this epoch. Only the index's own compaction policy pays a
-      // rebuild.
+      // rebuild, and it merges the index's own base and delta.
       STRUCTNET_OBS_SPAN("serve.plan.delta_advance");
       if (index_.needs_compaction()) {
-        STRUCTNET_OBS_SPAN("temporal.delta_compact");
-        index_.rebase(temporal_->view());
+        index_.compact();
         metrics_.csr_builds.add();
         metrics_.csr_compactions.add();
       } else {
@@ -797,11 +796,11 @@ void QueryBroker::on_event(const DynamicGraph& g, const Event&,
 }
 
 void QueryBroker::recompute(const DynamicGraph& g) {
-  // Attach-time (or recompute_all) synchronization: the view, attached
-  // earlier, has already rebuilt, so the index rebases off it (a base
-  // build, not a compaction), and any stale cache entries are released.
+  // Attach-time (or recompute_all) synchronization, the broker's only
+  // read of the view: the view, attached earlier, has already rebuilt,
+  // so the index is built from it, and stale cache entries are released.
   if (temporal_ != nullptr) {
-    index_.rebase(temporal_->view());
+    index_ = DeltaTemporalCsr(temporal_->view());
     metrics_.csr_builds.add();
   }
   std::lock_guard<std::mutex> lk(serve_mu_);

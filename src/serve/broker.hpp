@@ -116,8 +116,8 @@ class QueryBroker final : public StreamObserver {
   /// temporal queries (may be null: temporal queries then reject). It
   /// must be attached to `engine` before the broker is constructed.
   /// Neither reference is owned; both must outlive the broker. The
-  /// broker attaches itself to the engine, which rebases its contact
-  /// index off the view, and detaches in the destructor.
+  /// broker attaches itself to the engine, which builds its contact
+  /// index from the view, and detaches in the destructor.
   QueryBroker(StreamEngine& engine, TemporalViewObserver* temporal,
               BrokerConfig config = {});
   ~QueryBroker() override;
@@ -190,8 +190,8 @@ class QueryBroker final : public StreamObserver {
   const obs::MetricsRegistry& metrics() const { return registry_; }
 
   // StreamObserver: folds each accepted event into the contact index
-  // and empties the cache at the new epoch; recompute() rebases
-  // the index off the view (attach time and StreamEngine::recompute_all,
+  // and empties the cache at the new epoch; recompute() builds the
+  // index from the view (attach time and StreamEngine::recompute_all,
   // both after the view, which is attached first).
   std::string_view name() const override { return "serve"; }
   void on_event(const DynamicGraph& g, const Event& event,
@@ -278,7 +278,7 @@ class QueryBroker final : public StreamObserver {
   std::mutex exec_mu_;
   /// The contact index every temporal kernel reads (empty without a
   /// temporal view): on_event folds accepted contact events into its
-  /// delta as they stream in, recompute() rebases it off the view, and
+  /// delta as they stream in, recompute() builds it from the view, and
   /// the plan phase compacts it, so planning never rebuilds per epoch.
   DeltaTemporalCsr index_;
   std::optional<Graph> graph_;            // shared same-epoch static graph

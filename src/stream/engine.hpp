@@ -44,7 +44,7 @@ class StreamEngine {
   /// graph — the equivalence sweep the churn tests run after incremental
   /// maintenance. Runs each observer's recompute() in attach order on
   /// the calling thread: an observer may read observers attached before
-  /// it (the QueryBroker rebases its contact index off the temporal
+  /// it (the QueryBroker builds its contact index from the temporal
   /// view). Returns the number of observers refreshed.
   std::size_t recompute_all();
 

@@ -94,8 +94,6 @@
 
 namespace structnet {
 
-class DeltaTemporalCsr;
-
 /// Reusable scratch for lane-packed sweeps: one reached word per vertex
 /// plus lanes-strided arrival rows, epoch-stamped so a new sweep
 /// invalidates everything without clearing (pooled per worker slot
@@ -301,11 +299,8 @@ inline std::size_t lane_block_count(std::size_t n) {
 /// (arrivals always; via parents, through fires(), when record_via is
 /// set). Duplicate sources are allowed (their lanes evolve
 /// identically). Requires 1 <= sources.size() <= kMaxLanes.
-void csr_earliest_arrival_batch(const TemporalCsr& csr,
-                                std::span<const VertexId> sources,
-                                TimeUnit t_start, MultiSourceWorkspace& ws,
-                                bool record_via = false);
-void csr_earliest_arrival_batch(const DeltaTemporalCsr& csr,
+template <class Index>
+void csr_earliest_arrival_batch(const Index& csr,
                                 std::span<const VertexId> sources,
                                 TimeUnit t_start, MultiSourceWorkspace& ws,
                                 bool record_via = false);
@@ -372,12 +367,9 @@ struct FastestLane {
 /// lanes[l]. Lanes may repeat and may mix t_starts (t_start >= horizon
 /// included). Requires 1 <= lanes.size() <= kMaxLanes and
 /// source != target.
+template <class Index>
 std::vector<std::optional<std::pair<TimeUnit, TimeUnit>>>
-csr_fastest_departure_batch(const TemporalCsr& csr,
-                            std::span<const FastestLane> lanes,
-                            MultiSourceWorkspace& ws);
-std::vector<std::optional<std::pair<TimeUnit, TimeUnit>>>
-csr_fastest_departure_batch(const DeltaTemporalCsr& csr,
+csr_fastest_departure_batch(const Index& csr,
                             std::span<const FastestLane> lanes,
                             MultiSourceWorkspace& ws);
 

@@ -6,115 +6,18 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "temporal/multi_source.hpp"
+#include "temporal/temporal_delta.hpp"
 #include "temporal/temporal_kernels.hpp"
 
 namespace structnet {
 
 TemporalCsr::TemporalCsr(const TemporalGraph& eg)
-    : n_(eg.vertex_count()), horizon_(eg.horizon()) {
-  STRUCTNET_OBS_SPAN("temporal.csr_build");
-  static obs::Counter& builds =
-      obs::MetricsRegistry::global().counter("temporal.csr_builds");
-  builds.add();
-  const std::size_t m = eg.edge_count();
-  edge_u_.resize(m);
-  edge_v_.resize(m);
-  std::vector<std::size_t> vertex_deg(n_, 0);
-  std::vector<std::size_t> time_count(horizon_, 0);
-  for (EdgeId e = 0; e < m; ++e) {
-    const auto& edge = eg.edge(e);
-    edge_u_[e] = edge.u;
-    edge_v_[e] = edge.v;
-    contact_count_ += edge.labels.size();
-    vertex_deg[edge.u] += edge.labels.size();
-    vertex_deg[edge.v] += edge.labels.size();
-    for (TimeUnit t : edge.labels) ++time_count[t];
-  }
-
-  // Per-edge label arrays: a straight copy (TemporalGraph keeps each
-  // label set sorted ascending already).
-  edge_label_offsets_.assign(m + 1, 0);
-  for (EdgeId e = 0; e < m; ++e) {
-    edge_label_offsets_[e + 1] =
-        edge_label_offsets_[e] + eg.edge(e).labels.size();
-  }
-  edge_labels_.resize(contact_count_);
-  for (EdgeId e = 0; e < m; ++e) {
-    const auto& labels = eg.edge(e).labels;
-    std::copy(labels.begin(), labels.end(),
-              edge_labels_.begin() + edge_label_offsets_[e]);
-  }
-
-  // Global stream: per-unit spans in edge id order (edge ids visited
-  // ascending), matching the legacy bucket_by_time bucket contents.
-  time_offsets_.assign(static_cast<std::size_t>(horizon_) + 1, 0);
-  for (TimeUnit t = 0; t < horizon_; ++t) {
-    time_offsets_[t + 1] = time_offsets_[t] + time_count[t];
-  }
-  stream_edge_.resize(contact_count_);
-  std::vector<std::size_t> tfill(time_offsets_.begin(),
-                                 time_offsets_.end() - 1);
-  for (EdgeId e = 0; e < m; ++e) {
-    for (TimeUnit t : eg.edge(e).labels) stream_edge_[tfill[t]++] = e;
-  }
-
-  // Per-vertex contact regions, (time, edge id)-sorted, via a counting
-  // pass instead of a per-vertex comparison sort: one chronological walk
-  // over the finished stream visits contacts in globally ascending
-  // (t, e), so appending each contact to both endpoint regions fills
-  // every region already in the required order. O(C) instead of the
-  // previous O(C log C) stable_sort per vertex.
-  vertex_offsets_.assign(n_ + 1, 0);
-  for (std::size_t v = 0; v < n_; ++v) {
-    vertex_offsets_[v + 1] = vertex_offsets_[v] + vertex_deg[v];
-  }
-  contact_time_.resize(2 * contact_count_);
-  contact_neighbor_.resize(2 * contact_count_);
-  contact_edge_.resize(2 * contact_count_);
-  std::vector<std::size_t> fill(vertex_offsets_.begin(),
-                                vertex_offsets_.end() - 1);
-  for (TimeUnit t = 0; t < horizon_; ++t) {
-    for (const EdgeId e : edges_at(t)) {
-      const VertexId u = edge_u_[e], v = edge_v_[e];
-      std::size_t i = fill[u]++;
-      contact_time_[i] = t;
-      contact_neighbor_[i] = v;
-      contact_edge_[i] = e;
-      i = fill[v]++;
-      contact_time_[i] = t;
-      contact_neighbor_[i] = u;
-      contact_edge_[i] = e;
-    }
-  }
-
-  // Distinct-edge adjacency (edges that still carry labels only) and
-  // per-edge label arrays: the min-hop kernel's "first use of e at or
-  // after t" is a lower_bound into edge_labels(e). incident_edges()
-  // lists ids ascending, which is the tie-break order the kernels need.
-  std::vector<std::size_t> adj_deg(n_, 0);
-  for (EdgeId e = 0; e < m; ++e) {
-    if (eg.edge(e).labels.empty()) continue;
-    ++adj_deg[edge_u_[e]];
-    ++adj_deg[edge_v_[e]];
-  }
-  adj_offsets_.assign(n_ + 1, 0);
-  for (std::size_t v = 0; v < n_; ++v) {
-    adj_offsets_[v + 1] = adj_offsets_[v] + adj_deg[v];
-  }
-  adj_edge_.resize(adj_offsets_[n_]);
-  adj_neighbor_.resize(adj_offsets_[n_]);
-  std::vector<std::size_t> afill(adj_offsets_.begin(),
-                                 adj_offsets_.end() - 1);
-  for (std::size_t v = 0; v < n_; ++v) {
-    for (EdgeId e : eg.incident_edges(v)) {
-      const auto& edge = eg.edge(e);
-      if (edge.labels.empty()) continue;
-      const std::size_t i = afill[v]++;
-      adj_edge_[i] = e;
-      adj_neighbor_[i] = edge.u == v ? edge.v : edge.u;
-    }
-  }
-}
+    : TemporalCsr(
+          eg.vertex_count(), eg.horizon(), eg.edge_count(),
+          [&eg](EdgeId e) { return std::pair{eg.edge(e).u, eg.edge(e).v}; },
+          [&eg](EdgeId e) -> std::span<const TimeUnit> {
+            return eg.edge(e).labels;
+          }) {}
 
 std::size_t TemporalCsr::first_contact_at(VertexId v, TimeUnit t) const {
   const auto lo = contact_time_.begin() + vertex_offsets_[v];
@@ -162,9 +65,9 @@ Journey TemporalWorkspace::journey(VertexId source, VertexId target) const {
   return j;
 }
 
-void csr_earliest_arrival(const TemporalCsr& csr, VertexId source,
-                          TimeUnit t_start, TemporalWorkspace& ws,
-                          VertexId stop_at) {
+template <class Index>
+void csr_earliest_arrival(const Index& csr, VertexId source, TimeUnit t_start,
+                          TemporalWorkspace& ws, VertexId stop_at) {
   STRUCTNET_OBS_SPAN("temporal.csr_earliest_arrival");
   static obs::Counter& calls = obs::MetricsRegistry::global().counter(
       "temporal.csr_earliest_arrival_calls");
@@ -180,7 +83,8 @@ std::optional<std::pair<TimeUnit, TimeUnit>> csr_fastest_departure(
   return csr_fastest_departure_batch(csr, {&lane, 1}, ws).front();
 }
 
-std::optional<Journey> csr_minimum_hop_journey(const TemporalCsr& csr,
+template <class Index>
+std::optional<Journey> csr_minimum_hop_journey(const Index& csr,
                                                VertexId source, VertexId target,
                                                TimeUnit t_start,
                                                TemporalWorkspace& ws) {
@@ -190,5 +94,59 @@ std::optional<Journey> csr_minimum_hop_journey(const TemporalCsr& csr,
   calls.add();
   return detail::WorkspaceOps::minimum_hop(csr, source, target, t_start, ws);
 }
+
+template <class Index>
+void csr_earliest_arrival_batch(const Index& csr,
+                                std::span<const VertexId> sources,
+                                TimeUnit t_start, MultiSourceWorkspace& ws,
+                                bool record_via) {
+  STRUCTNET_OBS_SPAN("temporal.csr_earliest_arrival_batch");
+  static obs::Counter& calls = obs::MetricsRegistry::global().counter(
+      "temporal.csr_earliest_arrival_batch_calls");
+  static obs::Counter& lanes = obs::MetricsRegistry::global().counter(
+      "temporal.csr_earliest_arrival_batch_lanes");
+  calls.add();
+  lanes.add(sources.size());
+  detail::WorkspaceOps::earliest_arrival_batch(csr, sources, t_start, ws,
+                                               record_via);
+}
+
+template <class Index>
+std::vector<std::optional<std::pair<TimeUnit, TimeUnit>>>
+csr_fastest_departure_batch(const Index& csr,
+                            std::span<const FastestLane> lanes,
+                            MultiSourceWorkspace& ws) {
+  STRUCTNET_OBS_SPAN("temporal.csr_fastest_departure_batch");
+  static obs::Counter& calls = obs::MetricsRegistry::global().counter(
+      "temporal.csr_fastest_departure_batch_calls");
+  static obs::Counter& lane_count = obs::MetricsRegistry::global().counter(
+      "temporal.csr_fastest_departure_batch_lanes");
+  calls.add();
+  lane_count.add(lanes.size());
+  return detail::WorkspaceOps::fastest_departure_batch(csr, lanes, ws);
+}
+
+// Every kernel entry point, for both index types.
+template void csr_earliest_arrival(const TemporalCsr&, VertexId, TimeUnit,
+                                   TemporalWorkspace&, VertexId);
+template void csr_earliest_arrival(const DeltaTemporalCsr&, VertexId, TimeUnit,
+                                   TemporalWorkspace&, VertexId);
+template std::optional<Journey> csr_minimum_hop_journey(
+    const TemporalCsr&, VertexId, VertexId, TimeUnit, TemporalWorkspace&);
+template std::optional<Journey> csr_minimum_hop_journey(
+    const DeltaTemporalCsr&, VertexId, VertexId, TimeUnit, TemporalWorkspace&);
+template void csr_earliest_arrival_batch(const TemporalCsr&,
+                                         std::span<const VertexId>, TimeUnit,
+                                         MultiSourceWorkspace&, bool);
+template void csr_earliest_arrival_batch(const DeltaTemporalCsr&,
+                                         std::span<const VertexId>, TimeUnit,
+                                         MultiSourceWorkspace&, bool);
+template std::vector<std::optional<std::pair<TimeUnit, TimeUnit>>>
+csr_fastest_departure_batch(const TemporalCsr&, std::span<const FastestLane>,
+                            MultiSourceWorkspace&);
+template std::vector<std::optional<std::pair<TimeUnit, TimeUnit>>>
+csr_fastest_departure_batch(const DeltaTemporalCsr&,
+                            std::span<const FastestLane>,
+                            MultiSourceWorkspace&);
 
 }  // namespace structnet

@@ -63,11 +63,11 @@
 // keeps evolving under a query stream (see QueryBroker).
 //
 // The kernels themselves are templates over the index (internal header
-// temporal_kernels.hpp, instantiated for TemporalCsr here and for
-// DeltaTemporalCsr in temporal_delta.cpp); the public csr_* functions
-// below are the TemporalCsr instantiations. Fastest journeys have one
-// kernel, the lane-packed csr_fastest_departure_batch
-// (multi_source.hpp); csr_fastest_departure below runs it on one lane.
+// temporal_kernels.hpp), and so are the public csr_* entry points here
+// and in multi_source.hpp: each is declared once and instantiated in
+// temporal_csr.cpp for TemporalCsr and DeltaTemporalCsr. Fastest
+// journeys have one kernel, the lane-packed csr_fastest_departure_batch;
+// csr_fastest_departure below runs it on one lane.
 #pragma once
 
 #include <algorithm>
@@ -195,6 +195,14 @@ class TemporalCsr {
   }
 
  private:
+  friend class DeltaTemporalCsr;
+  /// The one builder (temporal_kernels.hpp): edge e < m joins the pair
+  /// endpoints_of(e) with the ascending span labels_of(e); an edge
+  /// without labels keeps its record and stays out of the adjacency.
+  template <class EndpointsOf, class LabelsOf>
+  TemporalCsr(std::size_t n, TimeUnit horizon, std::size_t m,
+              EndpointsOf&& endpoints_of, LabelsOf&& labels_of);
+
   std::size_t n_ = 0;
   TimeUnit horizon_ = 0;
   std::size_t contact_count_ = 0;
@@ -287,9 +295,11 @@ class TemporalWorkspace {
 /// fixed-point re-scan list, and stops as soon as every reachable
 /// vertex is reached or `stop_at` is reached (pass kInvalidVertex for a
 /// full sweep; partial results past the stop vertex's time unit are
-/// then unspecified).
-void csr_earliest_arrival(const TemporalCsr& csr, VertexId source,
-                          TimeUnit t_start, TemporalWorkspace& ws,
+/// then unspecified). `Index` is TemporalCsr or DeltaTemporalCsr, whose
+/// merged base + delta sweeps bit-identically to a fresh rebuild.
+template <class Index>
+void csr_earliest_arrival(const Index& csr, VertexId source, TimeUnit t_start,
+                          TemporalWorkspace& ws,
                           VertexId stop_at = kInvalidVertex);
 
 /// The (departure, arrival) pair of a span-minimal source -> target
@@ -309,8 +319,10 @@ std::optional<std::pair<TimeUnit, TimeUnit>> csr_fastest_departure(
 /// target's edges to reached vertices and returns as soon as one
 /// offers a label, so the final (largest) layer is never relaxed;
 /// returns the exact legacy journey (same hops) by reproducing its
-/// (label, edge id) tie-breaking.
-std::optional<Journey> csr_minimum_hop_journey(const TemporalCsr& csr,
+/// (label, edge id) tie-breaking — on a DeltaTemporalCsr too, whose
+/// delta-created last hop (a larger id) loses a label tie to a base one.
+template <class Index>
+std::optional<Journey> csr_minimum_hop_journey(const Index& csr,
                                                VertexId source, VertexId target,
                                                TimeUnit t_start,
                                                TemporalWorkspace& ws);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -19,6 +20,12 @@ void reserve_small(Vec& v) {
   if (v.capacity() == 0) v.reserve(4);
 }
 
+std::uint64_t label_bloom(std::span<const TimeUnit> labels) {
+  std::uint64_t bloom = 0;
+  for (const TimeUnit t : labels) bloom |= 1ull << (t & 63);
+  return bloom;
+}
+
 inline void prefetch(const void* p) {
 #if defined(__GNUC__)
   __builtin_prefetch(p);
@@ -28,22 +35,56 @@ inline void prefetch(const void* p) {
 }
 }  // namespace
 
-void DeltaTemporalCsr::rebase(const TemporalGraph& eg) {
+DeltaTemporalCsr::DeltaTemporalCsr(const TemporalGraph& eg) {
   STRUCTNET_OBS_SPAN("temporal.delta_rebase");
-  state_id_ = detail::next_index_state_id();
   base_ = TemporalCsr(eg);
+  n_ = base_.vertex_count();
+  edge_of_.reset(base_.edge_count());
+  for (EdgeId e = 0; e < base_.edge_count(); ++e) {
+    edge_of_.insert(endpoint_key(base_.edge_u(e), base_.edge_v(e)), e,
+                    label_bloom(base_.edge_labels(e)));
+  }
+  clear_delta();
+}
+
+void DeltaTemporalCsr::compact() {
+  STRUCTNET_OBS_SPAN("temporal.delta_compact");
+  // Each edge with delta state: its adds become its merged labels (its
+  // live base labels appended, then merged), and its map entry drops the
+  // slot and gets its Bloom word recomputed, not ORed into: add_contact
+  // reads a zero word as "the base adjacency omits this edge".
+  for (EdgeId e = 0; e < edge_count(); ++e) {
+    if (edge_slot_[e] == kInvalidEdge) continue;
+    EdgeDelta& d = edge_deltas_[edge_slot_[e]];
+    if (e < base_m_) {
+      const auto base = base_.edge_labels(e);
+      const auto mid = static_cast<std::ptrdiff_t>(d.added.size());
+      std::set_difference(base.begin(), base.end(), d.removed.begin(),
+                          d.removed.end(), std::back_inserter(d.added));
+      std::inplace_merge(d.added.begin(), d.added.begin() + mid,
+                         d.added.end());
+    }
+    EdgeIdMap::Slot& ms =
+        *edge_of_.find_slot(endpoint_key(edge_u(e), edge_v(e)));
+    ms.dslot = kInvalidEdge;
+    ms.bloom = label_bloom(d.added);
+  }
+  base_ = TemporalCsr(
+      n_, horizon(), edge_count(),
+      [this](EdgeId e) { return std::pair{edge_u(e), edge_v(e)}; },
+      [this](EdgeId e) -> std::span<const TimeUnit> {
+        const EdgeId slot = edge_slot_[e];
+        if (slot != kInvalidEdge) return edge_deltas_[slot].added;
+        return base_.edge_labels(e);
+      });
+  clear_delta();
+}
+
+void DeltaTemporalCsr::clear_delta() {
+  state_id_ = detail::next_index_state_id();
   base_n_ = base_.vertex_count();
   base_m_ = base_.edge_count();
-  n_ = base_n_;
   adds_ = tombs_ = 0;
-  edge_of_.reset(base_m_);
-  for (std::size_t e = 0; e < base_m_; ++e) {
-    const auto id = static_cast<EdgeId>(e);
-    std::uint64_t bloom = 0;
-    for (const TimeUnit t : base_.edge_labels(id)) bloom |= 1ull << (t & 63);
-    edge_of_.insert(endpoint_key(base_.edge_u(id), base_.edge_v(id)), id,
-                    bloom);
-  }
   dedge_u_.clear();
   dedge_v_.clear();
   edge_slot_.assign(base_m_, kInvalidEdge);
@@ -267,28 +308,6 @@ void DeltaTemporalCsr::erase_tombstone(EdgeId e, VertexId u, VertexId v,
   const auto pos = std::lower_bound(td.begin(), td.end(), e);
   assert(pos != td.end() && *pos == e);
   td.erase(pos);
-}
-
-void csr_earliest_arrival(const DeltaTemporalCsr& csr, VertexId source,
-                          TimeUnit t_start, TemporalWorkspace& ws,
-                          VertexId stop_at) {
-  STRUCTNET_OBS_SPAN("temporal.csr_earliest_arrival");
-  static obs::Counter& calls = obs::MetricsRegistry::global().counter(
-      "temporal.csr_earliest_arrival_calls");
-  calls.add();
-  detail::WorkspaceOps::earliest_arrival(csr, source, t_start, ws, stop_at);
-}
-
-std::optional<Journey> csr_minimum_hop_journey(const DeltaTemporalCsr& csr,
-                                               VertexId source,
-                                               VertexId target,
-                                               TimeUnit t_start,
-                                               TemporalWorkspace& ws) {
-  STRUCTNET_OBS_SPAN("temporal.csr_minimum_hop_journey");
-  static obs::Counter& calls = obs::MetricsRegistry::global().counter(
-      "temporal.csr_minimum_hop_journey_calls");
-  calls.add();
-  return detail::WorkspaceOps::minimum_hop(csr, source, target, t_start, ws);
 }
 
 }  // namespace structnet

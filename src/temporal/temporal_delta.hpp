@@ -29,11 +29,11 @@
 //
 // Compaction. Reads cost O(log delta) extra per probe, so once the
 // delta outgrows kCompactRatio of the base (plus kCompactSlack) the
-// owner should absorb it into a fresh base via rebase();
-// needs_compaction() is that one policy. Every reader — the journey
-// kernels and the routing simulator (sim/dtn_routing.hpp) alike —
-// reads the merged view, so nothing else asks for a compaction. The
-// QueryBroker owns the serving index: it folds stream events in
+// owner should merge it into a fresh base with compact(), which reads
+// only the index; needs_compaction() is that one policy. Every reader —
+// the journey kernels and the routing simulator (sim/dtn_routing.hpp)
+// alike — reads the merged view, so nothing else asks for a compaction.
+// The QueryBroker owns the serving index: it folds stream events in
 // through fold_contact_event (stream/observers.hpp), the same rules
 // the temporal view applies, and compacts in its plan phase
 // (serve/broker.hpp).
@@ -44,7 +44,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -57,10 +56,12 @@ namespace structnet {
 class DeltaTemporalCsr {
  public:
   DeltaTemporalCsr() = default;
-  explicit DeltaTemporalCsr(const TemporalGraph& eg) { rebase(eg); }
+  /// A base snapshot of eg with an empty delta.
+  explicit DeltaTemporalCsr(const TemporalGraph& eg);
 
-  /// Adopts a fresh base snapshot and clears the delta.
-  void rebase(const TemporalGraph& eg);
+  /// Merges base and delta into a fresh base; every edge keeps its id
+  /// and the merged view does not change.
+  void compact();
 
   /// Registers contact (u, v, t). Returns false when the contact is
   /// already live (idempotent, like TemporalGraph::add_contact).
@@ -86,7 +87,6 @@ class DeltaTemporalCsr {
 
   /// Live adds + tombstones held outside the base.
   std::size_t delta_size() const { return adds_ + tombs_; }
-  bool delta_empty() const { return delta_size() == 0; }
 
   /// Compaction policy: the delta holds more than kCompactRatio x base
   /// contacts, plus an absolute kCompactSlack so tiny bases don't
@@ -111,7 +111,7 @@ class DeltaTemporalCsr {
   std::size_t contact_count() const {
     return base_.contact_count() - tombs_ + adds_;
   }
-  /// Unique token of the current merged state: refreshed by rebase()
+  /// Unique token of the current merged state: refreshed by compact()
   /// and by every successful mutation, so workspaces can cache derived
   /// per-state data (detail::next_index_state_id semantics).
   std::uint64_t state_id() const { return state_id_; }
@@ -240,9 +240,9 @@ class DeltaTemporalCsr {
 
   /// Flat linear-probe hash map from packed endpoint key to edge id —
   /// the fold hot path resolves one of these per event, so it must be a
-  /// single contiguous probe, not a node-based chain. Append-only
-  /// between rebases (edge records are never deleted), so probes never
-  /// cross tombstones and inserts never allocate per entry.
+  /// single contiguous probe, not a node-based chain. Append-only (edge
+  /// ids outlive compactions), so probes never cross tombstones and
+  /// inserts never allocate per entry.
   class EdgeIdMap {
    public:
     /// Entries carry everything the fold path needs to resolve an edge
@@ -326,6 +326,7 @@ class DeltaTemporalCsr {
     }
     return edge_deltas_[ms.dslot];
   }
+  void clear_delta();  // over the current base_ and n_
   void record_add(EdgeId e, VertexId u, VertexId v, TimeUnit t,
                   bool base_labeled);
   void erase_add(EdgeId e, VertexId u, VertexId v, TimeUnit t);
@@ -350,21 +351,5 @@ class DeltaTemporalCsr {
   std::vector<std::vector<std::pair<EdgeId, VertexId>>> vnewadj_;
   std::vector<std::vector<EdgeId>> tadd_, tdel_;  // per unit, ascending
 };
-
-/// The earliest-arrival and min-hop kernels over the merged base+delta
-/// view — bit-identical to running the TemporalCsr overloads on a fresh
-/// rebuild of the mutated graph (fastest journeys run through the
-/// lane-packed csr_fastest_departure_batch, multi_source.hpp). The
-/// min-hop kernel's target check reads the merged adjacency in
-/// ascending edge id too, so a delta-created last hop (a larger id)
-/// loses a label tie to a base one exactly as on the rebuild.
-void csr_earliest_arrival(const DeltaTemporalCsr& csr, VertexId source,
-                          TimeUnit t_start, TemporalWorkspace& ws,
-                          VertexId stop_at = kInvalidVertex);
-std::optional<Journey> csr_minimum_hop_journey(const DeltaTemporalCsr& csr,
-                                               VertexId source,
-                                               VertexId target,
-                                               TimeUnit t_start,
-                                               TemporalWorkspace& ws);
 
 }  // namespace structnet

@@ -25,8 +25,8 @@
 // which walks units through for_each_edge_at too, replaying the same
 // contact sequence. Earliest arrival has a scalar and a lane-packed
 // body; fastest departure has only the lane-packed one (a single query
-// is a one-lane block); minimum hop is scalar. Included only by
-// temporal_csr.cpp / temporal_delta.cpp / multi_source.cpp.
+// is a one-lane block); minimum hop is scalar. TemporalCsr's one builder
+// lives here too. Included only by temporal_csr.cpp / temporal_delta.cpp.
 #pragma once
 
 #include <algorithm>
@@ -38,6 +38,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "temporal/multi_source.hpp"
 #include "temporal/temporal_csr.hpp"
 
@@ -556,3 +558,105 @@ std::optional<Journey> WorkspaceOps::minimum_hop(const Index& csr,
 }
 
 }  // namespace structnet::detail
+
+namespace structnet {
+
+template <class EndpointsOf, class LabelsOf>
+TemporalCsr::TemporalCsr(std::size_t n, TimeUnit horizon, std::size_t m,
+                         EndpointsOf&& endpoints_of, LabelsOf&& labels_of)
+    : n_(n), horizon_(horizon) {
+  STRUCTNET_OBS_SPAN("temporal.csr_build");
+  static obs::Counter& builds =
+      obs::MetricsRegistry::global().counter("temporal.csr_builds");
+  builds.add();
+  edge_u_.resize(m);
+  edge_v_.resize(m);
+  edge_label_offsets_.assign(m + 1, 0);
+  std::vector<std::size_t> vertex_deg(n_, 0), adj_deg(n_, 0);
+  std::vector<std::size_t> time_count(horizon_, 0);
+  for (EdgeId e = 0; e < m; ++e) {
+    const auto [u, v] = endpoints_of(e);
+    const std::span<const TimeUnit> labels = labels_of(e);
+    edge_u_[e] = u;
+    edge_v_[e] = v;
+    edge_label_offsets_[e + 1] = edge_label_offsets_[e] + labels.size();
+    vertex_deg[u] += labels.size();
+    vertex_deg[v] += labels.size();
+    adj_deg[u] += !labels.empty();
+    adj_deg[v] += !labels.empty();
+    for (TimeUnit t : labels) ++time_count[t];
+  }
+  contact_count_ = edge_label_offsets_[m];
+
+  // Per-edge label arrays: a straight copy (labels arrive ascending).
+  edge_labels_.resize(contact_count_);
+  for (EdgeId e = 0; e < m; ++e) {
+    const std::span<const TimeUnit> labels = labels_of(e);
+    std::copy(labels.begin(), labels.end(),
+              edge_labels_.begin() + edge_label_offsets_[e]);
+  }
+
+  // Global stream: per-unit spans in edge id order (edge ids visited
+  // ascending), matching the legacy bucket_by_time bucket contents.
+  time_offsets_.assign(static_cast<std::size_t>(horizon_) + 1, 0);
+  for (TimeUnit t = 0; t < horizon_; ++t) {
+    time_offsets_[t + 1] = time_offsets_[t] + time_count[t];
+  }
+  stream_edge_.resize(contact_count_);
+  std::vector<std::size_t> tfill(time_offsets_.begin(),
+                                 time_offsets_.end() - 1);
+  for (EdgeId e = 0; e < m; ++e) {
+    for (TimeUnit t : labels_of(e)) stream_edge_[tfill[t]++] = e;
+  }
+
+  // Per-vertex contact regions, (time, edge id)-sorted, by counting: one
+  // chronological walk over the finished stream visits contacts in
+  // globally ascending (t, e), so appending each contact to both
+  // endpoint regions fills every region already in order. O(C).
+  vertex_offsets_.assign(n_ + 1, 0);
+  for (std::size_t v = 0; v < n_; ++v) {
+    vertex_offsets_[v + 1] = vertex_offsets_[v] + vertex_deg[v];
+  }
+  contact_time_.resize(2 * contact_count_);
+  contact_neighbor_.resize(2 * contact_count_);
+  contact_edge_.resize(2 * contact_count_);
+  std::vector<std::size_t> fill(vertex_offsets_.begin(),
+                                vertex_offsets_.end() - 1);
+  for (TimeUnit t = 0; t < horizon_; ++t) {
+    for (const EdgeId e : edges_at(t)) {
+      const VertexId u = edge_u_[e], v = edge_v_[e];
+      std::size_t i = fill[u]++;
+      contact_time_[i] = t;
+      contact_neighbor_[i] = v;
+      contact_edge_[i] = e;
+      i = fill[v]++;
+      contact_time_[i] = t;
+      contact_neighbor_[i] = u;
+      contact_edge_[i] = e;
+    }
+  }
+
+  // Distinct-edge adjacency (labelled edges only), filled in edge id
+  // order so each vertex's range lists ids ascending — the tie-break
+  // order the kernels need.
+  adj_offsets_.assign(n_ + 1, 0);
+  for (std::size_t v = 0; v < n_; ++v) {
+    adj_offsets_[v + 1] = adj_offsets_[v] + adj_deg[v];
+  }
+  adj_edge_.resize(adj_offsets_[n_]);
+  adj_neighbor_.resize(adj_offsets_[n_]);
+  std::vector<std::size_t> afill(adj_offsets_.begin(),
+                                 adj_offsets_.end() - 1);
+  for (EdgeId e = 0; e < m; ++e) {
+    if (labels_of(e).empty()) continue;
+    const VertexId u = edge_u_[e], v = edge_v_[e];
+    std::size_t i = afill[u]++;
+    adj_edge_[i] = e;
+    adj_neighbor_[i] = v;
+    i = afill[v]++;
+    adj_edge_[i] = e;
+    adj_neighbor_[i] = u;
+  }
+}
+
+}  // namespace structnet

@@ -5,6 +5,7 @@
 
 #include "algo/traversal.hpp"
 #include "temporal/journeys.hpp"
+#include "temporal/temporal_csr.hpp"
 
 namespace structnet {
 
@@ -293,7 +294,17 @@ TrimResult trim_links(const TemporalGraph& eg,
   // could before (their completion may degrade, but never connectivity;
   // this also rejects the degenerate pendant case where the rule holds
   // vacuously).
+  //
+  // The guard sweeps an index of the current graph and one of the
+  // candidate, which becomes current when the candidate is accepted.
   ReplacementChecker check(result.trimmed, priority, variant);
+  TemporalCsr current(result.trimmed);
+  TemporalWorkspace ws;
+  const auto connected = [&ws](const TemporalCsr& csr, VertexId from,
+                               VertexId to, TimeUnit t) {
+    csr_earliest_arrival(csr, from, t, ws, to);
+    return ws.arrival(to) != kNeverTime;
+  };
   for (const auto& edge : eg.edges()) {
     const VertexId w = edge.u;
     const VertexId u = edge.v;
@@ -302,20 +313,17 @@ TrimResult trim_links(const TemporalGraph& eg,
         !check.all_paths_replaceable(u, w)) {
       continue;
     }
-    const TemporalGraph candidate = result.trimmed.without_edge(w, u);
+    TemporalGraph candidate = result.trimmed.without_edge(w, u);
+    TemporalCsr next(candidate);
     bool endpoints_ok = true;
     for (TimeUnit t = 0; t < eg.horizon() && endpoints_ok; ++t) {
-      if (is_connected_at(result.trimmed, w, u, t) &&
-          !is_connected_at(candidate, w, u, t)) {
-        endpoints_ok = false;
-      }
-      if (is_connected_at(result.trimmed, u, w, t) &&
-          !is_connected_at(candidate, u, w, t)) {
-        endpoints_ok = false;
-      }
+      endpoints_ok =
+          !(connected(current, w, u, t) && !connected(next, w, u, t)) &&
+          !(connected(current, u, w, t) && !connected(next, u, w, t));
     }
     if (!endpoints_ok) continue;
-    result.trimmed = candidate;
+    result.trimmed = std::move(candidate);
+    current = std::move(next);
     check.rebucket();
     result.removed_links.emplace_back(w, u);
   }

@@ -48,11 +48,6 @@ double Rng::exponential(double lambda) {
   return dist(engine_);
 }
 
-double Rng::normal(double mean, double stddev) {
-  std::normal_distribution<double> dist(mean, stddev);
-  return dist(engine_);
-}
-
 std::uint64_t Rng::geometric(double p) {
   std::geometric_distribution<std::uint64_t> dist(std::clamp(p, 1e-12, 1.0));
   return dist(engine_);

@@ -55,9 +55,6 @@ class Rng {
   /// Exponentially distributed value with rate lambda (> 0).
   double exponential(double lambda);
 
-  /// Standard normal draw scaled to mean/stddev.
-  double normal(double mean, double stddev);
-
   /// Geometric draw: number of failures before first success, P(success)=p.
   std::uint64_t geometric(double p);
 

@@ -207,7 +207,7 @@ TEST(MultiSourceDelta, OverlayLanesMatchScalarAcrossCompaction) {
   }
   // Mutate the overlay, sweeping after each round against both the
   // delta itself and a fresh index of the truth; then force the
-  // compaction boundary with a rebase and sweep again — the same
+  // compaction boundary with a compact() and sweep again — the same
   // workspace must refresh its cached contact list each time.
   for (int round = 0; round < 3; ++round) {
     for (int i = 0; i < 25; ++i) {
@@ -227,7 +227,7 @@ TEST(MultiSourceDelta, OverlayLanesMatchScalarAcrossCompaction) {
     const TemporalCsr fresh(rebuild());
     expect_lanes_match_scalar(fresh, sources, 0, ws, /*record_via=*/true);
   }
-  delta.rebase(rebuild());  // compaction boundary: state id must move
+  delta.compact();  // compaction boundary: state id must move
   expect_lanes_match_scalar(delta, sources, 0, ws, /*record_via=*/true);
 }
 
@@ -419,7 +419,7 @@ TEST(MultiSourceFastest, DeltaOverlayMatchesFreshAcrossCompaction) {
     const auto lanes = random_fastest_lanes(rng, kN, kHorizon, 24 + 8 * round);
     expect_fastest_lanes_match_scalar(delta, rebuild(), lanes, ws);
   }
-  delta.rebase(rebuild());  // compaction boundary
+  delta.compact();  // compaction boundary
   expect_fastest_lanes_match_scalar(
       delta, rebuild(),
       random_fastest_lanes(rng, kN, kHorizon, MultiSourceWorkspace::kMaxLanes),

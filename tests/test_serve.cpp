@@ -1528,7 +1528,7 @@ TEST(QueryBrokerTest, IndexCountersTrackFoldsAndCompactions) {
   BrokerConfig cfg;
   cfg.threads = 1;
   QueryBroker broker(engine, &view, cfg);
-  EXPECT_EQ(counter(broker, "serve.csr_builds"), 1u);  // attach-time rebase
+  EXPECT_EQ(counter(broker, "serve.csr_builds"), 1u);  // attach-time build
 
   const std::vector<Event> events = {
       Event::contact_add(0, 1, 2),
@@ -1567,9 +1567,9 @@ TEST(QueryBrokerTest, IndexCountersTrackFoldsAndCompactions) {
 }
 
 // recompute_all rebuilds observers in attach order, so the broker
-// rebases its index off a view that has finished rebuilding. Recomputed
-// in parallel, the index could rebase off a view mid-rebuild and serve
-// wrong payloads (or crash).
+// builds its index from a view that has finished rebuilding. Recomputed
+// in parallel, the index could be built from a view mid-rebuild and
+// serve wrong payloads (or crash).
 TEST(QueryBrokerTest, RecomputeAllRebasesIndexOffRebuiltView) {
   constexpr std::size_t kNodes = 400;
   constexpr TimeUnit kHorizon = 48;

@@ -269,7 +269,7 @@ TEST(TemporalCsrMinimumHop, MatchesLegacyOnSparseLongJourneys) {
         eg.remove_label(edge.u, edge.v, dead);
       }
     }
-    ASSERT_FALSE(delta.delta_empty());
+    ASSERT_NE(delta.delta_size(), 0u);
     const TemporalCsr fresh(eg);
     TemporalWorkspace wsa, wsb;
     for (int pick = 0; pick < 4; ++pick) {
@@ -595,9 +595,9 @@ TEST(TemporalDeltaChurn, MixedEventsBitIdenticalToFreshRebuild) {
     // Aggressive compaction cadence so the suite crosses many
     // compaction boundaries (delta drained back into the base).
     if (step % 24 == 23) {
-      delta.rebase(eg);
+      delta.compact();
       ++compactions;
-      EXPECT_TRUE(delta.delta_empty());
+      EXPECT_EQ(delta.delta_size(), 0u);
     }
     if (step % 20 == 0) {
       const auto s = static_cast<VertexId>(rng.index(p.n));
@@ -651,7 +651,7 @@ TEST(TemporalDeltaChurn, ResurrectionAndDuplicateSemantics) {
   // labels — both sides keep them for id stability).
   // Duplicate of a live base contact is rejected, like the graph.
   EXPECT_FALSE(delta.add_contact(0, 1, 2));
-  EXPECT_TRUE(delta.delta_empty());
+  EXPECT_EQ(delta.delta_size(), 0u);
   // Tombstone a base contact, then resurrect it: delta drains to zero.
   EXPECT_TRUE(delta.remove_label(0, 1, 2));
   eg.remove_label(0, 1, 2);
@@ -659,7 +659,7 @@ TEST(TemporalDeltaChurn, ResurrectionAndDuplicateSemantics) {
   EXPECT_FALSE(delta.remove_label(0, 1, 2));  // already dead
   EXPECT_TRUE(delta.add_contact(0, 1, 2));      // resurrect
   eg.add_contact(0, 1, 2);
-  EXPECT_TRUE(delta.delta_empty());
+  EXPECT_EQ(delta.delta_size(), 0u);
   // Delta-added contact: duplicate rejected, removal erases outright.
   EXPECT_TRUE(delta.add_contact(2, 3, 1));
   eg.add_contact(2, 3, 1);
@@ -667,7 +667,7 @@ TEST(TemporalDeltaChurn, ResurrectionAndDuplicateSemantics) {
   EXPECT_EQ(delta.delta_size(), 1u);
   EXPECT_TRUE(delta.remove_label(2, 3, 1));
   eg.remove_label(2, 3, 1);
-  EXPECT_TRUE(delta.delta_empty());
+  EXPECT_EQ(delta.delta_size(), 0u);
   // Removing a contact that never existed fails on both paths, as does
   // one at or past the horizon (the graph's remove_label rejects it too).
   EXPECT_FALSE(delta.remove_label(0, 3, 4));
